@@ -22,6 +22,8 @@
 #                        shipped seeded-bug twin, local sweep byte-identical
 #                        to the builtin, then the same source submitted over
 #                        TCP — same bytes again; truncated source exits 2
+#   make perfbench-smoke — each benchmark workload (perfbench/) for 3s,
+#                        untraced: every verdict checked, no job failed
 #   make soak-heap     — 60s soak on 4 domains gated on Gc-measured heap
 #                        growth (the unbounded-memory detector)
 #   make test-heavy    — includes the exhaustive sweeps (ASMSIM_HEAVY=1)
@@ -37,7 +39,7 @@ SMOKE_TIMEOUT ?= 60
 ASMSIM = dune exec --no-print-directory bin/asmsim.exe --
 
 .PHONY: build check test test-heavy ci ci-heavy smoke smoke-trace smoke-dist \
-	smoke-net smoke-soak smoke-obs smoke-sdl soak-heap \
+	smoke-net smoke-soak smoke-obs smoke-sdl perfbench-smoke soak-heap \
 	bench-json bench-gate explore-determinism
 
 build:
@@ -281,6 +283,23 @@ smoke-obs: build
 	grep -Eq 'across [34] process' $$D/merge.err; \
 	timeout $(SMOKE_TIMEOUT) $$BIN trace-check $$D/fleet.json
 
+# The benchmark's four workloads through its own entry point, briefly
+# and untraced: each run's last line is a JSON summary, which must
+# report every verdict checked ("correct":true) and no failed job.
+PERFBENCH_WORKLOADS = explore-clean explore-bugs soak-corpus service
+
+perfbench-smoke: build
+	rm -rf _build/perfbench && mkdir -p _build/perfbench
+	set -e; \
+	for w in $(PERFBENCH_WORKLOADS); do \
+	  D=_build/perfbench/$$w; \
+	  timeout 180 bash perfbench/run.sh --workload $$w --seed 1 --seconds 3 \
+	    --trace 0 > $$D.out 2> $$D.err; \
+	  tail -n 1 $$D.out > $$D.json; \
+	  grep -q '"correct":true' $$D.json || { echo "$$w: not correct"; exit 1; }; \
+	  grep -q '"failed":0,' $$D.json || { echo "$$w: failed jobs"; exit 1; }; \
+	done
+
 # Sixty seconds of continuous soaking on 4 domains, gated on the
 # Gc-measured major-heap growth after the first batch: the journaled
 # arenas, program reuse and per-batch cementing must hold the working
@@ -301,6 +320,7 @@ ci: check
 	$(MAKE) smoke-obs
 	$(MAKE) smoke-sdl
 	$(MAKE) explore-determinism
+	$(MAKE) perfbench-smoke
 
 # The parallel explorer must be bit-for-bit deterministic in the job
 # count, through the real CLI — both engines:

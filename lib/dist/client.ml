@@ -136,23 +136,55 @@ let worker_recv cfg fd =
       | Error m -> raise (Link ("undecodable server frame: " ^ m)))
   | Error e -> raise (frame_error e)
 
+(* Expanded instances a connection keeps. Constant: a long-lived worker
+   may open any number of jobs, and an expanded plan is large (an
+   explore plan holds a store copy per frontier task), so only the
+   small [Proto.job] is kept per job id. A miss re-expands the job —
+   [lookup] builds the same plan from the same job — so an eviction
+   costs time, never a different byte. *)
+let worker_instance_cache = 4
+
 let worker_session cfg ~lookup fd =
-  let jobs : (string, Worker.instance * string) Hashtbl.t = Hashtbl.create 4 in
-  let open_job jid job =
-    match Hashtbl.find_opt jobs jid with
-    | Some (inst, _) ->
-        worker_send cfg fd
-          (Proto.Nf_job_ok { jid; cells = Worker.cells_of_instance inst })
+  (* jid -> (job, span tag, cells), for the life of the connection *)
+  let jobs : (string, Proto.job * string * int) Hashtbl.t =
+    Hashtbl.create 4
+  in
+  (* (jid, instance), most recently used first *)
+  let cache = ref [] in
+  let remember jid inst =
+    cache :=
+      List.filteri
+        (fun i _ -> i < worker_instance_cache)
+        ((jid, inst) :: List.remove_assoc jid !cache)
+  in
+  let instance jid job =
+    match List.assoc_opt jid !cache with
+    | Some inst ->
+        remember jid inst;
+        inst
     | None -> (
         match lookup job with
         | Ok inst ->
+            debugf cfg "re-expanded evicted job %s" jid;
+            Metrics.bump cfg.metrics "worker_jobs_reexpanded_total";
+            remember jid inst;
+            inst
+        | Error msg ->
+            raise (Link (Printf.sprintf "cannot re-expand job %s: %s" jid msg)))
+  in
+  let open_job jid job =
+    match Hashtbl.find_opt jobs jid with
+    | Some (_, _, cells) -> worker_send cfg fd (Proto.Nf_job_ok { jid; cells })
+    | None -> (
+        match lookup job with
+        | Ok inst ->
+            let cells = Worker.cells_of_instance inst in
             Hashtbl.replace jobs jid
-              (inst, Span.job_tag (Proto.job_fingerprint job));
+              (job, Span.job_tag (Proto.job_fingerprint job), cells);
+            remember jid inst;
             Metrics.bump cfg.metrics "worker_jobs_opened_total";
-            logf cfg "opened job %s (%d cells)" jid
-              (Worker.cells_of_instance inst);
-            worker_send cfg fd
-              (Proto.Nf_job_ok { jid; cells = Worker.cells_of_instance inst })
+            logf cfg "opened job %s (%d cells)" jid cells;
+            worker_send cfg fd (Proto.Nf_job_ok { jid; cells })
         | Error msg ->
             warnf cfg "cannot open job %s: %s" jid msg;
             worker_send cfg fd (Proto.Nf_job_err { jid; msg }))
@@ -179,7 +211,7 @@ let worker_session cfg ~lookup fd =
         let recv_start = Span.now_us () in
         match Hashtbl.find_opt jobs jid with
         | None -> raise (Link "assigned a job we never opened")
-        | Some (inst, tag) ->
+        | Some (job, tag, _) ->
             debugf cfg "job %s shard %d [%d,%d) assigned" jid shard lo hi;
             Span.emit cfg.spans ~phase:"receive" ~job:tag ~shard
               ~start_us:recv_start;
@@ -188,7 +220,9 @@ let worker_session cfg ~lookup fd =
               poll_control ()
             in
             let exec_start = Span.now_us () in
-            let payload = Worker.compute_shard inst ~lo ~hi ~tick in
+            let payload =
+              Worker.compute_shard (instance jid job) ~lo ~hi ~tick
+            in
             Span.emit cfg.spans ~phase:"execute" ~job:tag ~shard
               ~start_us:exec_start;
             let reply_start = Span.now_us () in

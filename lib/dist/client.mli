@@ -45,8 +45,10 @@ val worker_loop :
 (** Serve shards until the server says [Nw_shutdown] (exit 0) or the
     connection budget runs out (exit 1); a handshake rejection exits 2.
     One connection serves many jobs: the server announces each job once
-    ([Nw_job]), the worker expands it with [lookup] and keeps the plan
-    for later assignments. All writes pass through the chaos harness
+    ([Nw_job]), the worker expands it with [lookup] and keeps the job
+    for later assignments — with only the few most recently used
+    expanded plans cached, re-expanding (deterministically) on a miss,
+    so a long-lived worker's memory does not grow with every job. All writes pass through the chaos harness
     when configured. *)
 
 (** {1 Submitting client} *)

@@ -255,7 +255,8 @@ let scenario ~seed : scenario =
                  {
                    x;
                    first_subset_only = Random.State.bool rs;
-                   static_owners = false;
+                   (* dynamic owner election needs test&set, x >= 2 *)
+                   static_owners = x < 2;
                  }))
           xsas;
         List.map (fun n -> mk_o n Ac) acs;

@@ -5,7 +5,8 @@
    - model sanity: nprocs/min/x bounds;
    - object declarations: unique names, cons port counts within the
      model's x, consensus-number-2 objects (ts, queue) only when
-     x >= 2, xsa arity within the model;
+     x >= 2, xsa arity within the model (and x >= 2 unless its owners
+     are static);
    - process blocks: every pid in [0, nprocs) covered by exactly one
      block (checked again by {!Compile} at every resize);
    - statements: objects exist and are used at the right kind, let
@@ -351,9 +352,16 @@ let validate_exn sc =
               "queue %S has consensus number 2: it needs x >= 2 (model has \
                x = %d)"
               o.o_name sc.sc_x
-      | Xsa { x; _ } ->
+      | Xsa { x; static_owners; _ } ->
           if x < 1 then
             rejectf o.o_span "xsa %S must have arity x >= 1" o.o_name;
+          (* Dynamic owner election runs X_compete, whose test&set
+             objects are built from 2-port consensus. *)
+          if (not static_owners) && sc.sc_x < 2 then
+            rejectf o.o_span
+              "xsa %S elects its owners with test&set (consensus number \
+               2): it needs x >= 2 or static_owners (model has x = %d)"
+              o.o_name sc.sc_x;
           if x > sc.sc_x then
             rejectf o.o_span
               "xsa %S has arity %d but the model allows x = %d" o.o_name x

@@ -41,7 +41,7 @@ let heartbeat on_progress runs =
   match on_progress with None -> () | Some f -> f ~runs
 
 (* ------------------------------------------------------------------ *)
-(* Fingerprints: op-result histories and canonical state keys           *)
+(* Fingerprints: op-result histories                                    *)
 (* ------------------------------------------------------------------ *)
 
 (* A process's continuation is a closure, so it cannot be compared — but
@@ -75,90 +75,385 @@ let encode_result : type r. r Op.t -> r -> enc =
   | Op.Oracle_query _ -> E_univ r
   | Op.Yield -> E_unit
 
-(* What a process's next operation touches; the basis of the
-   commutation (independence) relation. Oracle queries are keyed by the
-   querying pid because the environment tracks per-(family, pid) query
-   counts — two different processes querying the same oracle touch
-   different cells. *)
-type footprint =
-  | F_none
-  | F_read of Op.fam * Op.key
-  | F_write of Op.fam * Op.key
-  | F_oracle of Op.fam * int
+(* ------------------------------------------------------------------ *)
+(* Footprints: what a process's next operation touches                  *)
+(* ------------------------------------------------------------------ *)
 
-let footprint (type a) ~pid (prog : a Prog.t) =
+(* Per-operation footprints, the basis of the commutation (independence)
+   relations and of the incremental store signature. Oracle queries are
+   keyed by the querying pid because the environment tracks
+   per-(family, pid) query counts — two different processes querying
+   the same oracle touch different cells.
+
+   Two relations are defined over them. The coarse one ([coarse_indep],
+   the plan engine's) says two operations on the same instance conflict
+   unless both only read. Many such pairs in fact commute, and for the
+   single-writer snapshot objects at the heart of the paper's
+   constructions — every process writes its own component — *all*
+   sibling writes commute. The refined relation ([rf_indep], engine
+   C's) is evaluated against the current store state (Godefroid's
+   conditional independence), which is sound exactly because the sleep
+   filter runs at the state the two candidate operations would both
+   execute from. *)
+type rfp =
+  | R_none
+  | R_oracle of Op.fam * int
+  | R_read of Op.fam * Op.key
+  | R_write of Op.fam * Op.key * Univ.t
+  | R_cas of Op.fam * Op.key
+  | R_snap_set of Op.fam * Op.key
+  | R_snap_scan of Op.fam * Op.key
+  | R_ts of Op.fam * Op.key
+  | R_cons of Op.fam * Op.key * int
+  | R_kset of Op.fam * Op.key
+  | R_enq of Op.fam * Op.key
+  | R_deq of Op.fam * Op.key
+
+let rfootprint (type a) ~pid (prog : a Prog.t) =
   match prog with
-  | Prog.Done _ -> F_none
+  | Prog.Done _ -> R_none
   | Prog.Step (op, _) -> (
       match op with
-      | Op.Yield -> F_none
-      | Op.Reg_read (f, k) -> F_read (f, k)
-      | Op.Snap_scan (f, k) -> F_read (f, k)
-      | Op.Oracle_query (f, _) -> F_oracle (f, pid)
-      | _ -> (
-          match Op.info op with
-          | Some i -> F_write (i.Op.fam, i.Op.key)
-          | None -> F_none))
+      | Op.Yield -> R_none
+      | Op.Oracle_query (f, _) -> R_oracle (f, pid)
+      | Op.Reg_read (f, k) -> R_read (f, k)
+      | Op.Reg_write (f, k, v) -> R_write (f, k, v)
+      | Op.Cas (f, k, _, _) -> R_cas (f, k)
+      | Op.Snap_set (f, k, _) -> R_snap_set (f, k)
+      | Op.Snap_scan (f, k) -> R_snap_scan (f, k)
+      | Op.Ts (f, k) -> R_ts (f, k)
+      | Op.Cons_propose (f, k, _) -> R_cons (f, k, pid)
+      | Op.Kset_propose (f, k, _) -> R_kset (f, k)
+      | Op.Queue_enq (f, k, _) -> R_enq (f, k)
+      | Op.Queue_deq (f, k) -> R_deq (f, k))
 
-let fp_indep a b =
+
+(* Same shared-object location, without allocating the [option] pair
+   an extraction function would — this runs once per (sleep entry ×
+   explored branch). *)
+let rsame_loc a b =
   match (a, b) with
-  | F_none, _ | _, F_none -> true
-  | F_oracle (f1, p1), F_oracle (f2, p2) -> not (String.equal f1 f2 && p1 = p2)
-  | F_oracle _, _ | _, F_oracle _ -> true
-  | F_read _, F_read _ -> true
-  | (F_read (f1, k1) | F_write (f1, k1)), (F_read (f2, k2) | F_write (f2, k2))
-    ->
-      not (String.equal f1 f2 && k1 = k2)
+  | ( ( R_read (f1, k1)
+      | R_write (f1, k1, _)
+      | R_cas (f1, k1)
+      | R_snap_set (f1, k1)
+      | R_snap_scan (f1, k1)
+      | R_ts (f1, k1)
+      | R_cons (f1, k1, _)
+      | R_kset (f1, k1)
+      | R_enq (f1, k1)
+      | R_deq (f1, k1) ),
+      ( R_read (f2, k2)
+      | R_write (f2, k2, _)
+      | R_cas (f2, k2)
+      | R_snap_set (f2, k2)
+      | R_snap_scan (f2, k2)
+      | R_ts (f2, k2)
+      | R_cons (f2, k2, _)
+      | R_kset (f2, k2)
+      | R_enq (f2, k2)
+      | R_deq (f2, k2) ) ) ->
+      String.equal f1 f2 && k1 = k2
+  | _ -> false
 
-(* Which sleeping transitions survive executing [Step t_pid] (whose
-   pre-execution footprint is [fp_t])? A sleeping process has not moved
-   since it entered the sleep set, so its footprint is read off its
-   current state. Crashing commutes with another process's step (same
-   final state, same crash order) but never with another crash (the
-   [crashed] list records crash order, which properties may observe). *)
-let sleep_filter states fp_t t_pid sleep =
+(* Do the two *next* operations of two distinct processes commute at
+   the current state of [env] — same final store and the same result
+   delivered to each process, whichever goes first? Each rule below is
+   an exact claim about [Env.apply]:
+   - sibling [Snap_set]s write different components (writer
+     discipline), so they always commute;
+   - equal-value register writes leave the same store either way;
+   - [Ts] on a won instance is a pure read returning [false];
+   - [Cons_propose] on a decided instance returns the decision, but
+     still *joins* the accessor set — commuting additionally needs the
+     join to be harmless in both orders (both already accessors, or
+     room for both under the port bound, the accessor list being
+     canonically sorted);
+   - enqueue and dequeue on a nonempty queue act on opposite ends;
+     two dequeues on an empty queue are both no-op reads. *)
+let rf_indep env a b =
+  match (a, b) with
+  | R_none, _ | _, R_none -> true
+  | R_oracle (f1, p1), R_oracle (f2, p2) -> not (String.equal f1 f2 && p1 = p2)
+  | R_oracle _, _ | _, R_oracle _ -> true
+  | _ -> (
+      (not (rsame_loc a b))
+      ||
+      match (a, b) with
+      | R_read _, R_read _ -> true
+      | R_snap_scan _, R_snap_scan _ -> true
+      | R_snap_set _, R_snap_set _ -> true
+      | R_write (_, _, v1), R_write (_, _, v2) -> v1 = v2
+      | R_read (f, k), R_write (_, _, v) | R_write (f, k, v), R_read _ ->
+          Env.peek_register env f k = Some v
+      | R_ts (f, k), R_ts _ -> Env.peek_ts env f k
+      | R_cons (f, k, p), R_cons (_, _, q) ->
+          Env.cons_decided env f k
+          &&
+          let acc = Env.cons_accessors env f k in
+          let joins =
+            (if List.mem p acc then 0 else 1)
+            + if List.mem q acc then 0 else 1
+          in
+          List.length acc + joins <= Env.x env
+      | R_enq (f, k), R_deq _ | R_deq (f, k), R_enq _ ->
+          Env.queue_length env f k > 0
+      | R_deq (f, k), R_deq _ -> Env.queue_length env f k = 0
+      | _ -> false)
+
+(* The coarse relation's verdict on two shared-object footprints. Only
+   valid when neither side is [R_none] or [R_oracle] — which
+   [coarse_indep] rules out, and [rf_indep env a b = true] settles the
+   same way (the one case where the formulas differ, two oracle queries
+   by the same process, cannot pass the refined check). *)
+let coarse_indep_r a b =
+  let is_read = function R_read _ | R_snap_scan _ -> true | _ -> false in
+  (not (rsame_loc a b)) || (is_read a && is_read b)
+
+(* The coarse (state-blind) relation: distinct instances, or two reads. *)
+let coarse_indep a b =
+  match (a, b) with
+  | R_none, _ | _, R_none -> true
+  | R_oracle (f1, p1), R_oracle (f2, p2) -> not (String.equal f1 f2 && p1 = p2)
+  | R_oracle _, _ | _, R_oracle _ -> true
+  | _ -> coarse_indep_r a b
+
+let rloc = function
+  | R_none | R_oracle _ -> None
+  | R_read (f, k)
+  | R_write (f, k, _)
+  | R_cas (f, k)
+  | R_snap_set (f, k)
+  | R_snap_scan (f, k)
+  | R_ts (f, k)
+  | R_cons (f, k, _)
+  | R_kset (f, k)
+  | R_enq (f, k)
+  | R_deq (f, k) ->
+      Some (f, k)
+
+(* ------------------------------------------------------------------ *)
+(* The store signature                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* The store fingerprint, maintained incrementally: the same two sorted
+   association lists [Env.canonical] would produce, plus an XOR of a
+   hash of every entry. One operation touches one instance, so a step
+   updates one entry (sharing the untouched tail), and the XOR
+   composition makes the hash delta O(1). Each entry caches its own
+   hash so an update hashes only the new entry. [es_hash] is a pure
+   function of the two lists, so it may sit inside the visited key:
+   equal signatures always agree on it (and it doubles as a fast
+   equality reject). Backtracking restores the previous value by
+   pointer — the lists are immutable. *)
+type esig = {
+  es_inst : (int * (Op.fam * Op.key) * Env.instance_sig) list;
+  es_orc : (int * (Op.fam * int) * int) list;
+  es_hash : int;
+}
+
+let esig_of_canonical c =
+  let inst, orc = Env.canonical_parts c in
+  let inst = List.map (fun ((k, s) as e) -> (Hashtbl.hash e, k, s)) inst in
+  let orc = List.map (fun ((k, n) as e) -> (Hashtbl.hash e, k, n)) orc in
+  let xor l h = List.fold_left (fun h (eh, _, _) -> h lxor eh) h l in
+  { es_inst = inst; es_orc = orc; es_hash = xor orc (xor inst 0) }
+
+(* Sorted-assoc update with structural sharing: [Some s] inserts or
+   replaces, [None] removes. Returns the new list (physically the input
+   when nothing changed) and the XOR delta of entry hashes. *)
+let rec sig_update key v l =
+  match l with
+  | [] -> (
+      match v with
+      | None -> (l, 0)
+      | Some s ->
+          let eh = Hashtbl.hash (key, s) in
+          ([ (eh, key, s) ], eh))
+  | ((eh', k', s') as e) :: tl -> (
+      let c = compare key k' in
+      if c < 0 then
+        match v with
+        | None -> (l, 0)
+        | Some s ->
+            let eh = Hashtbl.hash (key, s) in
+            ((eh, key, s) :: l, eh)
+      else if c = 0 then
+        match v with
+        | None -> (tl, eh')
+        | Some s ->
+            if s = s' then (l, 0)
+            else
+              let eh = Hashtbl.hash (key, s) in
+              ((eh, key, s) :: tl, eh' lxor eh)
+      else
+        let tl', d = sig_update key v tl in
+        if tl' == tl then (l, 0) else (e :: tl', d))
+
+let rec orc_bump key l =
+  match l with
+  | [] ->
+      let eh = Hashtbl.hash (key, 1) in
+      ([ (eh, key, 1) ], eh)
+  | ((eh', k', n) as e) :: tl ->
+      let c = compare key k' in
+      if c < 0 then
+        let eh = Hashtbl.hash (key, 1) in
+        ((eh, key, 1) :: l, eh)
+      else if c = 0 then
+        let eh = Hashtbl.hash (key, n + 1) in
+        ((eh, key, n + 1) :: tl, eh' lxor eh)
+      else
+        let tl', d = orc_bump key tl in
+        (e :: tl', d)
+
+(* Advance the fingerprint across one applied operation, whose refined
+   footprint names the single location it can have touched. Must run
+   after [Env.apply] (it re-reads the touched instance). *)
+let esig_step env es fp ~pid =
+  match fp with
+  | R_none -> es
+  | R_oracle (f, _) ->
+      let l, d = orc_bump (f, pid) es.es_orc in
+      { es with es_orc = l; es_hash = es.es_hash lxor d }
+  | _ -> (
+      match rloc fp with
+      | None -> es
+      | Some (f, k) ->
+          let l, d = sig_update (f, k) (Env.instance_sig env f k) es.es_inst in
+          if l == es.es_inst then es
+          else { es with es_inst = l; es_hash = es.es_hash lxor d })
+
+(* ------------------------------------------------------------------ *)
+(* Visited-state keys, shared by both engines                           *)
+(* ------------------------------------------------------------------ *)
+
+(* The visited-state key. Everything that determines the remainder of a
+   run's record is in here: remaining depth budget (via [k_depth]),
+   crash order so far, each process's status (with its op-result history
+   standing in for its continuation), the store, and the sleep set (a
+   state revisited with a different sleep set explores a different
+   transition subset, so it must not be deduplicated against the first
+   visit — including the sleep set in the key is the standard
+   conservative fix). Only the schedule string falls outside the key,
+   which is why properties must not read it (see the .mli).
+
+   Every component is cheap to build at each arrival, whatever the
+   depth. [k_procs] is a flat int array: a running process's history
+   collapsed to its interned id (see [intern_step]), [-1] crashed, [-2]
+   finished (ids are never negative) — finished processes' decided
+   values live in [k_done], sorted by pid. [k_env] is the incrementally
+   maintained [esig]. [k_sleep] is sorted by construction (see
+   [sleep_insert]); its tags mark engine C's source-set entries (see
+   [rsleep_filter]) and are always [false] in the plan engine. Two
+   visits that differ only in tags may split their prunes between the
+   two counters, so the tags are key content. *)
+type 'a vkey = {
+  k_depth : int;
+  k_crashed : int list;
+  k_procs : int array;
+  k_done : (int * 'a) list;
+  k_env : esig;
+  k_sleep : (choice * bool) list;
+}
+
+(* A hand-rolled hash so the per-arrival cost is O(key skeleton), not
+   O(store): the env component contributes its precomputed [es_hash].
+   Any pure function of the key is a valid hash — equality on the
+   bucket is exact, so collisions cost a comparison, never a wrong
+   answer. *)
+let vkey_hash k =
+  let h = ref ((k.k_depth * 0x9e3779b9) lxor k.k_env.es_hash) in
+  let mix v = h := (!h * 31) lxor v in
+  List.iter (fun p -> mix (p + 1)) k.k_crashed;
+  Array.iter mix k.k_procs;
+  List.iter (fun (p, v) -> mix ((p * 31) lxor Hashtbl.hash v)) k.k_done;
+  List.iter
+    (fun (u, tag) ->
+      let c = match u with Step p -> 2 * p | Crash p -> (2 * p) + 1 in
+      mix ((4 * c) + if tag then 3 else 2))
+    k.k_sleep;
+  !h
+
+(* A history id names a (history-so-far id, next result) pair in one
+   interning table, so a process's whole history is one id, extended
+   in O(1) per step. Within one table, and relative to the same root
+   ids, id equality is exactly history equality: the pairs compare with
+   the same structural equality the histories would. Id 0 is reserved
+   for the root (see [Visited.Intern]). *)
+type intern = (int * enc) Visited.Intern.t
+
+let intern_step (tbl : intern) pk op r =
+  let e = (pk, encode_result op r) in
+  Visited.Intern.id tbl ~hash:(Hashtbl.hash_param 64 256 e) e
+
+(* [k_procs] at a root: every running process at id 0, i.e. its history
+   counted from here. *)
+let root_pkey states =
+  Array.map (function Running _ -> 0 | Crashed -> -1 | Done _ -> -2) states
+
+(* Insert a finished process's decided value, keeping the list sorted
+   by pid so completion order cannot split equal states. *)
+let rec dvals_add pid v = function
+  | [] -> [ (pid, v) ]
+  | (p, _) as e :: tl ->
+      if pid < p then (pid, v) :: e :: tl else e :: dvals_add pid v tl
+
+(* Sorted insert keeping the sleep list canonical by construction
+   (choices are unique within a list, so ordering by choice is total).
+   The sleep filters only keep, drop or retag entries in place, so
+   sortedness is preserved down the tree and the visited key can embed
+   the list as-is instead of sorting at every arrival. *)
+let rec sleep_insert b = function
+  | [] -> [ (b, false) ]
+  | (u, _) as e :: tl ->
+      if compare b u < 0 then (b, false) :: e :: tl
+      else e :: sleep_insert b tl
+
+let asleep b sleep = List.exists (fun (u, _) -> u = b) sleep
+
+(* Crashing commutes with another process's step (same final state, same
+   crash order) but never with another crash (the [crashed] list
+   records crash order, which properties may observe). *)
+let sleep_filter_crash t_pid sleep =
   List.filter
-    (fun u ->
+    (fun (u, _) -> match u with Crash _ -> false | Step q -> q <> t_pid)
+    sleep
+
+(* The refined footprint of every process's next operation at the
+   current node ([R_none] for finished or crashed processes), computed
+   once per node and shared by every branch's sleep filter and store
+   signature step. *)
+let node_fps states =
+  Array.mapi
+    (fun pid s ->
+      match s with Running p -> rfootprint ~pid p | Done _ | Crashed -> R_none)
+    states
+
+(* ------------------------------------------------------------------ *)
+(* The plan engine's DFS (undo-journal based, shared by all phases)     *)
+(* ------------------------------------------------------------------ *)
+
+(* Which sleeping transitions survive executing [Step t_pid], under the
+   coarse relation? A sleeping process has not moved since it entered
+   the sleep set, so its footprint is the current node's. *)
+let sleep_filter states fps t_pid sleep =
+  List.filter
+    (fun (u, _) ->
       match u with
       | Crash q -> q <> t_pid
       | Step q -> (
           q <> t_pid
           &&
           match states.(q) with
-          | Running p -> fp_indep (footprint ~pid:q p) fp_t
+          | Running _ -> coarse_indep fps.(q) fps.(t_pid)
           | Done _ | Crashed -> false))
     sleep
 
-let sleep_filter_crash t_pid sleep =
-  List.filter
-    (fun u -> match u with Crash _ -> false | Step q -> q <> t_pid)
-    sleep
-
-(* The visited-state key. Everything that determines the remainder of a
-   run's record is in here: remaining depth budget (via [k_depth]),
-   crash order so far, each process's status (with its op-result history
-   standing in for its continuation), the canonical store, and the sleep
-   set (a state revisited with a different sleep set explores a
-   different transition subset, so it must not be deduplicated against
-   the first visit — including the sleep set in the key is the standard
-   conservative fix). Only the schedule string falls outside the key,
-   which is why properties must not read it (see the .mli). *)
-type 'a proc_key = K_running of enc list | K_done of 'a | K_crashed
-
-type 'a vkey = {
-  k_depth : int;
-  k_crashed : int list;
-  k_procs : 'a proc_key array;
-  k_env : Env.canonical;
-  k_sleep : choice list;
-}
-
 type 'a visited = (int, 'a vkey list) Hashtbl.t
 
-(* Strong structural hash up front, exact (polymorphic) equality on the
-   bucket — collisions cost a comparison, never a wrong answer. *)
 let seen_or_add (tbl : 'a visited) (key : 'a vkey) =
-  let h = Hashtbl.hash_param 1000 1000 key in
+  let h = vkey_hash key in
   match Hashtbl.find_opt tbl h with
   | Some keys when List.exists (fun k -> k = key) keys -> true
   | Some keys ->
@@ -168,14 +463,18 @@ let seen_or_add (tbl : 'a visited) (key : 'a vkey) =
       Hashtbl.add tbl h [ key ];
       false
 
-(* ------------------------------------------------------------------ *)
-(* The DFS engine (undo-journal based, shared by all phases)            *)
-(* ------------------------------------------------------------------ *)
-
+(* [pkey], [dvals] and [esig] are the key components of the current
+   node (see [vkey]), advanced on descent and restored (an int or
+   pointer store) on backtrack. They are maintained only when dedup is
+   on — the visited table is their only consumer. [intern] names
+   histories relative to this walk's root (see [run_subtree]). *)
 type 'a ctx = {
   env : Env.t;
   states : 'a pstate array;
-  histories : enc list array;
+  pkey : int array;
+  mutable dvals : (int * 'a) list;
+  mutable esig : esig;
+  intern : intern;
   max_steps : int;
   max_crashes : int;
   property : 'a run -> (unit, string) Stdlib.result;
@@ -196,16 +495,10 @@ let make_key ctx depth rev_crashed sleep =
   {
     k_depth = depth;
     k_crashed = rev_crashed;
-    k_procs =
-      Array.mapi
-        (fun i s ->
-          match s with
-          | Running _ -> K_running ctx.histories.(i)
-          | Done v -> K_done v
-          | Crashed -> K_crashed)
-        ctx.states;
-    k_env = Env.canonical ctx.env;
-    k_sleep = List.sort compare sleep;
+    k_procs = Array.copy ctx.pkey;
+    k_done = ctx.dvals;
+    k_env = ctx.esig;
+    k_sleep = sleep;
   }
 
 let mk_run ctx ~truncated rev_crashed rev_choices =
@@ -247,6 +540,7 @@ let finish ctx ~truncated rev_crashed rev_choices =
    [fd] and hands the node to [capture] instead (phase A); [on_run] is
    called for every terminal node that survives deduplication. *)
 let rec dfs ctx ~frontier ~on_run depth crashes rev_crashed rev_choices sleep =
+  let dedup = ctx.visited <> None in
   let live =
     let rec go i acc =
       if i < 0 then acc
@@ -276,10 +570,9 @@ let rec dfs ctx ~frontier ~on_run depth crashes rev_crashed rev_choices sleep =
         | Some (fd, capture) when depth >= fd ->
             capture ~depth ~crashes ~rev_crashed ~rev_choices ~sleep
         | _ ->
+            let fps = if dedup then node_fps ctx.states else [||] in
             let sleep = ref sleep in
-            let sleeping t =
-              ctx.visited <> None && List.mem t !sleep
-            in
+            let sleeping t = dedup && asleep t !sleep in
             List.iter
               (fun pid ->
                 (* Branch 1: pid executes one operation. *)
@@ -289,26 +582,38 @@ let rec dfs ctx ~frontier ~on_run depth crashes rev_crashed rev_choices sleep =
                     if sleeping t then
                       ctx.pruned_commutes <- ctx.pruned_commutes + 1
                     else begin
-                      let fp_t = footprint ~pid prog in
                       let cp = Env.checkpoint ctx.env in
-                      let saved_h = ctx.histories.(pid) in
+                      let saved_pk = ctx.pkey.(pid) in
+                      let saved_dv = ctx.dvals in
+                      let saved_es = ctx.esig in
                       (match prog with
-                      | Prog.Done v -> ctx.states.(pid) <- Done v
+                      | Prog.Done v ->
+                          ctx.states.(pid) <- Done v;
+                          if dedup then begin
+                            ctx.pkey.(pid) <- -2;
+                            ctx.dvals <- dvals_add pid v saved_dv
+                          end
                       | Prog.Step (op, k) ->
                           let r = Env.apply ctx.env ~pid op in
-                          ctx.histories.(pid) <-
-                            encode_result op r :: saved_h;
+                          if dedup then begin
+                            ctx.pkey.(pid) <-
+                              intern_step ctx.intern saved_pk op r;
+                            ctx.esig <-
+                              esig_step ctx.env saved_es fps.(pid) ~pid
+                          end;
                           ctx.states.(pid) <- Running (k r));
                       let child_sleep =
-                        if ctx.visited = None then []
-                        else sleep_filter ctx.states fp_t pid !sleep
+                        if dedup then sleep_filter ctx.states fps pid !sleep
+                        else []
                       in
                       dfs ctx ~frontier ~on_run (depth + 1) crashes rev_crashed
                         (t :: rev_choices) child_sleep;
                       Env.rollback ctx.env cp;
                       ctx.states.(pid) <- Running prog;
-                      ctx.histories.(pid) <- saved_h;
-                      if ctx.visited <> None then sleep := t :: !sleep
+                      ctx.pkey.(pid) <- saved_pk;
+                      ctx.dvals <- saved_dv;
+                      ctx.esig <- saved_es;
+                      if dedup then sleep := sleep_insert t !sleep
                     end
                 | Done _ | Crashed -> assert false);
                 (* Branch 2: pid crashes instead. *)
@@ -318,15 +623,17 @@ let rec dfs ctx ~frontier ~on_run depth crashes rev_crashed rev_choices sleep =
                     ctx.pruned_commutes <- ctx.pruned_commutes + 1
                   else begin
                     let saved = ctx.states.(pid) in
+                    let saved_pk = ctx.pkey.(pid) in
                     ctx.states.(pid) <- Crashed;
+                    ctx.pkey.(pid) <- -1;
                     let child_sleep =
-                      if ctx.visited = None then []
-                      else sleep_filter_crash pid !sleep
+                      if dedup then sleep_filter_crash pid !sleep else []
                     in
                     dfs ctx ~frontier ~on_run (depth + 1) (crashes + 1)
                       (pid :: rev_crashed) (t :: rev_choices) child_sleep;
                     ctx.states.(pid) <- saved;
-                    if ctx.visited <> None then sleep := t :: !sleep
+                    ctx.pkey.(pid) <- saved_pk;
+                    if dedup then sleep := sleep_insert t !sleep
                   end
                 end)
               live)
@@ -347,26 +654,36 @@ type 'a task_result = {
 (* A subtree root captured at the frontier: a private copy of the store
    plus everything needed to resume the DFS exactly where phase A left
    off. Workers own their subtree outright, so no cross-domain sharing
-   of mutable state ever happens. *)
+   of mutable state ever happens. Histories are not carried: the task
+   re-roots them (see [run_subtree]), so only the finished processes'
+   values and the store signature travel with the root. *)
 type 'a subtree = {
   s_env : Env.t;
   s_states : 'a pstate array;
-  s_histories : enc list array;
+  s_done : (int * 'a) list;
+  s_esig : esig;
   s_depth : int;
   s_crashes : int;
   s_rev_crashed : int list;
   s_rev_choices : choice list;
-  s_sleep : choice list;
+  s_sleep : (choice * bool) list;
 }
 
 type 'a task = T_leaf of 'a task_result | T_subtree of 'a subtree
 
-let fresh_ctx ~env ~states ~histories ~max_steps ~max_crashes ~property ~dedup
-    ~run_cap =
+(* Bucket count of a walk's interning table. Constant: a table lives
+   for one phase-A walk or one task and dies with it. *)
+let task_intern_buckets = 1024
+
+let fresh_ctx ~env ~states ~dvals ~esig ~max_steps ~max_crashes ~property
+    ~dedup ~run_cap =
   {
     env;
     states;
-    histories;
+    pkey = root_pkey states;
+    dvals;
+    esig;
+    intern = Visited.Intern.create ~buckets:task_intern_buckets ();
     max_steps;
     max_crashes;
     property;
@@ -394,15 +711,23 @@ let task_result_of_ctx ctx =
    never consumed: the DFS works on copies of the process arrays and
    rolls the (task-private) environment back to its root on every exit
    path, so running the same subtree twice gives the same answer — the
-   merge relies on this to recompute any task the pool skipped. *)
+   merge relies on this to recompute any task the pool skipped.
+
+   The task interns histories in its own table, with every running
+   process re-rooted at id 0. This is exact: the visited table is
+   task-private too, so every key it ever compares belongs to a state
+   below this one root, where each process's full history is its
+   (fixed) history at the root followed by its steps since. Full
+   histories are therefore equal iff the suffixes are, and suffix ids
+   equal iff the suffixes are ([intern_step]). Keys compare
+   position-wise, so two processes sharing an id number never meet. *)
 let run_subtree ~dedup ~max_steps ~max_crashes ~run_cap ~property
     (s : 'a subtree) =
   Env.enable_journal s.s_env;
   let cp0 = Env.checkpoint s.s_env in
   let ctx =
-    fresh_ctx ~env:s.s_env ~states:(Array.copy s.s_states)
-      ~histories:(Array.copy s.s_histories) ~max_steps ~max_crashes ~property
-      ~dedup ~run_cap
+    fresh_ctx ~env:s.s_env ~states:(Array.copy s.s_states) ~dvals:s.s_done
+      ~esig:s.s_esig ~max_steps ~max_crashes ~property ~dedup ~run_cap
   in
   (try
      dfs ctx ~frontier:None ~on_run:(finish ctx) s.s_depth s.s_crashes
@@ -416,17 +741,20 @@ let run_subtree ~dedup ~max_steps ~max_crashes ~run_cap ~property
    completing above the frontier come out as already-resolved leaf
    tasks, frontier nodes as subtree tasks. The frontier depth must not
    depend on [jobs], or different job counts would slice the tree
-   differently; it never does. *)
+   differently; it never does. The walk interns histories in its own
+   table, rooted at the initial state, and drops it on return: a plan
+   holds no interning state, only the per-root values each subtree
+   carries. *)
 let explore_tasks ~dedup ~frontier_depth ~max_steps ~max_crashes ~max_runs
     ~property ~make () =
   let env0, progs = make () in
   Env.enable_journal env0;
-  let n = Array.length progs in
   let ctx =
     fresh_ctx ~env:env0
       ~states:(Array.map (fun p -> Running p) progs)
-      ~histories:(Array.make n []) ~max_steps ~max_crashes ~property ~dedup
-      ~run_cap:max_int
+      ~dvals:[]
+      ~esig:(esig_of_canonical (Env.canonical env0))
+      ~max_steps ~max_crashes ~property ~dedup ~run_cap:max_int
   in
   let emitted = ref [] in
   let n_emitted = ref 0 in
@@ -461,7 +789,8 @@ let explore_tasks ~dedup ~frontier_depth ~max_steps ~max_crashes ~max_runs
          {
            s_env = Env.copy ctx.env;
            s_states = Array.copy ctx.states;
-           s_histories = Array.copy ctx.histories;
+           s_done = ctx.dvals;
+           s_esig = ctx.esig;
            s_depth = depth;
            s_crashes = crashes;
            s_rev_crashed = rev_crashed;
@@ -673,230 +1002,6 @@ let exhaustive_plan ?max_crashes ?max_runs ?metrics ?on_progress ?(jobs = 1)
 (* Engine C: shared visited table + work stealing + source-set pruning  *)
 (* ------------------------------------------------------------------ *)
 
-(* Refined per-operation footprints. The coarse [footprint] relation
-   says two writes to the same instance conflict; many of them in fact
-   commute, and for the single-writer snapshot objects at the heart of
-   the paper's constructions — every process writes its own component —
-   *all* sibling writes commute. The refined relation is evaluated
-   against the current store state (Godefroid's conditional
-   independence), which is sound exactly because the sleep filter runs
-   at the state the two candidate operations would both execute from. *)
-type rfp =
-  | R_none
-  | R_oracle of Op.fam * int
-  | R_read of Op.fam * Op.key
-  | R_write of Op.fam * Op.key * Univ.t
-  | R_cas of Op.fam * Op.key
-  | R_snap_set of Op.fam * Op.key
-  | R_snap_scan of Op.fam * Op.key
-  | R_ts of Op.fam * Op.key
-  | R_cons of Op.fam * Op.key * int
-  | R_kset of Op.fam * Op.key
-  | R_enq of Op.fam * Op.key
-  | R_deq of Op.fam * Op.key
-
-let rfootprint (type a) ~pid (prog : a Prog.t) =
-  match prog with
-  | Prog.Done _ -> R_none
-  | Prog.Step (op, _) -> (
-      match op with
-      | Op.Yield -> R_none
-      | Op.Oracle_query (f, _) -> R_oracle (f, pid)
-      | Op.Reg_read (f, k) -> R_read (f, k)
-      | Op.Reg_write (f, k, v) -> R_write (f, k, v)
-      | Op.Cas (f, k, _, _) -> R_cas (f, k)
-      | Op.Snap_set (f, k, _) -> R_snap_set (f, k)
-      | Op.Snap_scan (f, k) -> R_snap_scan (f, k)
-      | Op.Ts (f, k) -> R_ts (f, k)
-      | Op.Cons_propose (f, k, _) -> R_cons (f, k, pid)
-      | Op.Kset_propose (f, k, _) -> R_kset (f, k)
-      | Op.Queue_enq (f, k, _) -> R_enq (f, k)
-      | Op.Queue_deq (f, k) -> R_deq (f, k))
-
-
-(* Same shared-object location, without allocating the [option] pair
-   an extraction function would — this runs once per (sleep entry ×
-   explored branch). *)
-let rsame_loc a b =
-  match (a, b) with
-  | ( ( R_read (f1, k1)
-      | R_write (f1, k1, _)
-      | R_cas (f1, k1)
-      | R_snap_set (f1, k1)
-      | R_snap_scan (f1, k1)
-      | R_ts (f1, k1)
-      | R_cons (f1, k1, _)
-      | R_kset (f1, k1)
-      | R_enq (f1, k1)
-      | R_deq (f1, k1) ),
-      ( R_read (f2, k2)
-      | R_write (f2, k2, _)
-      | R_cas (f2, k2)
-      | R_snap_set (f2, k2)
-      | R_snap_scan (f2, k2)
-      | R_ts (f2, k2)
-      | R_cons (f2, k2, _)
-      | R_kset (f2, k2)
-      | R_enq (f2, k2)
-      | R_deq (f2, k2) ) ) ->
-      String.equal f1 f2 && k1 = k2
-  | _ -> false
-
-(* Do the two *next* operations of two distinct processes commute at
-   the current state of [env] — same final store and the same result
-   delivered to each process, whichever goes first? Each rule below is
-   an exact claim about [Env.apply]:
-   - sibling [Snap_set]s write different components (writer
-     discipline), so they always commute;
-   - equal-value register writes leave the same store either way;
-   - [Ts] on a won instance is a pure read returning [false];
-   - [Cons_propose] on a decided instance returns the decision, but
-     still *joins* the accessor set — commuting additionally needs the
-     join to be harmless in both orders (both already accessors, or
-     room for both under the port bound, the accessor list being
-     canonically sorted);
-   - enqueue and dequeue on a nonempty queue act on opposite ends;
-     two dequeues on an empty queue are both no-op reads. *)
-let rf_indep env a b =
-  match (a, b) with
-  | R_none, _ | _, R_none -> true
-  | R_oracle (f1, p1), R_oracle (f2, p2) -> not (String.equal f1 f2 && p1 = p2)
-  | R_oracle _, _ | _, R_oracle _ -> true
-  | _ -> (
-      (not (rsame_loc a b))
-      ||
-      match (a, b) with
-      | R_read _, R_read _ -> true
-      | R_snap_scan _, R_snap_scan _ -> true
-      | R_snap_set _, R_snap_set _ -> true
-      | R_write (_, _, v1), R_write (_, _, v2) -> v1 = v2
-      | R_read (f, k), R_write (_, _, v) | R_write (f, k, v), R_read _ ->
-          Env.peek_register env f k = Some v
-      | R_ts (f, k), R_ts _ -> Env.peek_ts env f k
-      | R_cons (f, k, p), R_cons (_, _, q) ->
-          Env.cons_decided env f k
-          &&
-          let acc = Env.cons_accessors env f k in
-          let joins =
-            (if List.mem p acc then 0 else 1)
-            + if List.mem q acc then 0 else 1
-          in
-          List.length acc + joins <= Env.x env
-      | R_enq (f, k), R_deq _ | R_deq (f, k), R_enq _ ->
-          Env.queue_length env f k > 0
-      | R_deq (f, k), R_deq _ -> Env.queue_length env f k = 0
-      | _ -> false)
-
-(* Coarse (state-blind) independence of two refined footprints — what
-   [fp_indep (coarse_of a) (coarse_of b)] computes, without building
-   the coarse values. Only valid under [rf_indep env a b = true]: the
-   one case where the formulas differ (two oracle queries by the same
-   process) cannot pass the refined check. *)
-let coarse_indep_r a b =
-  let is_read = function R_read _ | R_snap_scan _ -> true | _ -> false in
-  (not (rsame_loc a b)) || (is_read a && is_read b)
-
-let rloc = function
-  | R_none | R_oracle _ -> None
-  | R_read (f, k)
-  | R_write (f, k, _)
-  | R_cas (f, k)
-  | R_snap_set (f, k)
-  | R_snap_scan (f, k)
-  | R_ts (f, k)
-  | R_cons (f, k, _)
-  | R_kset (f, k)
-  | R_enq (f, k)
-  | R_deq (f, k) ->
-      Some (f, k)
-
-(* The store fingerprint, maintained incrementally: the same two sorted
-   association lists [Env.canonical] would produce, plus an XOR of a
-   hash of every entry. One operation touches one instance, so a step
-   updates one entry (sharing the untouched tail), and the XOR
-   composition makes the hash delta O(1). Each entry caches its own
-   hash so an update hashes only the new entry. [es_hash] is a pure
-   function of the two lists, so it may sit inside the visited key:
-   equal signatures always agree on it (and it doubles as a fast
-   equality reject). Backtracking restores the previous value by
-   pointer — the lists are immutable. *)
-type esig = {
-  es_inst : (int * (Op.fam * Op.key) * Env.instance_sig) list;
-  es_orc : (int * (Op.fam * int) * int) list;
-  es_hash : int;
-}
-
-let esig_of_canonical c =
-  let inst, orc = Env.canonical_parts c in
-  let inst = List.map (fun ((k, s) as e) -> (Hashtbl.hash e, k, s)) inst in
-  let orc = List.map (fun ((k, n) as e) -> (Hashtbl.hash e, k, n)) orc in
-  let xor l h = List.fold_left (fun h (eh, _, _) -> h lxor eh) h l in
-  { es_inst = inst; es_orc = orc; es_hash = xor orc (xor inst 0) }
-
-(* Sorted-assoc update with structural sharing: [Some s] inserts or
-   replaces, [None] removes. Returns the new list (physically the input
-   when nothing changed) and the XOR delta of entry hashes. *)
-let rec sig_update key v l =
-  match l with
-  | [] -> (
-      match v with
-      | None -> (l, 0)
-      | Some s ->
-          let eh = Hashtbl.hash (key, s) in
-          ([ (eh, key, s) ], eh))
-  | ((eh', k', s') as e) :: tl -> (
-      let c = compare key k' in
-      if c < 0 then
-        match v with
-        | None -> (l, 0)
-        | Some s ->
-            let eh = Hashtbl.hash (key, s) in
-            ((eh, key, s) :: l, eh)
-      else if c = 0 then
-        match v with
-        | None -> (tl, eh')
-        | Some s ->
-            if s = s' then (l, 0)
-            else
-              let eh = Hashtbl.hash (key, s) in
-              ((eh, key, s) :: tl, eh' lxor eh)
-      else
-        let tl', d = sig_update key v tl in
-        if tl' == tl then (l, 0) else (e :: tl', d))
-
-let rec orc_bump key l =
-  match l with
-  | [] ->
-      let eh = Hashtbl.hash (key, 1) in
-      ([ (eh, key, 1) ], eh)
-  | ((eh', k', n) as e) :: tl ->
-      let c = compare key k' in
-      if c < 0 then
-        let eh = Hashtbl.hash (key, 1) in
-        ((eh, key, 1) :: l, eh)
-      else if c = 0 then
-        let eh = Hashtbl.hash (key, n + 1) in
-        ((eh, key, n + 1) :: tl, eh' lxor eh)
-      else
-        let tl', d = orc_bump key tl in
-        (e :: tl', d)
-
-(* Advance the fingerprint across one applied operation, whose refined
-   footprint names the single location it can have touched. Must run
-   after [Env.apply] (it re-reads the touched instance). *)
-let esig_step env es fp ~pid =
-  match fp with
-  | R_none -> es
-  | R_oracle (f, _) ->
-      let l, d = orc_bump (f, pid) es.es_orc in
-      { es with es_orc = l; es_hash = es.es_hash lxor d }
-  | _ -> (
-      match rloc fp with
-      | None -> es
-      | Some (f, k) ->
-          let l, d = sig_update (f, k) (Env.instance_sig env f k) es.es_inst in
-          if l == es.es_inst then es
-          else { es with es_inst = l; es_hash = es.es_hash lxor d })
 
 (* Sleep entries are tagged: [true] means the entry's survival through
    some past filter relied on the refined relation where the coarse one
@@ -905,11 +1010,8 @@ let esig_step env es fp ~pid =
    prune tallies stay functions of the key alone. The filter runs
    BEFORE [Env.apply] — the refined rules are conditions on the state
    both candidate operations execute from. *)
-(* [fps] holds the refined footprint of every process's next operation
-   at the current node ([R_none] for finished or crashed processes) —
-   computed once per node and shared by every branch's filter call.
-   Written as a direct recursion (not [List.filter_map]) so the hot
-   path allocates no closure. *)
+(* [fps] is the node's [node_fps]. Written as a direct recursion (not
+   [List.filter_map]) so the hot path allocates no closure. *)
 let rec rsleep_filter env states fps fp_t t_pid sleep =
   match sleep with
   | [] -> []
@@ -930,49 +1032,6 @@ let rec rsleep_filter env states fps fp_t t_pid sleep =
                   else (u, true) :: rsleep_filter env states fps fp_t t_pid tl
                 else rsleep_filter env states fps fp_t t_pid tl
             | Done _ | Crashed -> rsleep_filter env states fps fp_t t_pid tl))
-
-let rsleep_filter_crash t_pid sleep =
-  List.filter_map
-    (fun ((u, _) as e) ->
-      match u with
-      | Crash _ -> None
-      | Step q -> if q <> t_pid then Some e else None)
-    sleep
-
-(* The shared-table visited key: same content as [vkey] but with the
-   tagged sleep set (two visits that differ only in tags may split
-   their prunes between the two counters), each running process's
-   operation history collapsed to its interned id (see
-   [Visited.Intern]; id equality is history equality, so hashing and
-   comparing is O(1) in history length), and the store represented by
-   the incrementally-maintained [esig]. [ck_procs] is a flat int
-   array: the history id while running, [-1] crashed, [-2] finished
-   (ids are never negative) — finished processes' decided values live
-   in [ck_done], sorted by pid. *)
-type 'a ckey = {
-  ck_depth : int;
-  ck_crashed : int list;
-  ck_procs : int array;
-  ck_done : (int * 'a) list;
-  ck_env : esig;
-  ck_sleep : (choice * bool) list;
-}
-
-(* A hand-rolled hash so the per-arrival cost is O(key skeleton), not
-   O(store): the env component contributes its precomputed [es_hash].
-   Any pure function of the key is a valid [Visited] hash. *)
-let ckey_hash k =
-  let h = ref ((k.ck_depth * 0x9e3779b9) lxor k.ck_env.es_hash) in
-  let mix v = h := (!h * 31) lxor v in
-  List.iter (fun p -> mix (p + 1)) k.ck_crashed;
-  Array.iter mix k.ck_procs;
-  List.iter (fun (p, v) -> mix ((p * 31) lxor Hashtbl.hash v)) k.ck_done;
-  List.iter
-    (fun (u, tag) ->
-      let c = match u with Step p -> 2 * p | Crash p -> (2 * p) + 1 in
-      mix ((4 * c) + if tag then 3 else 2))
-    k.ck_sleep;
-  !h
 
 (* A unit of work-stealing work: a subtree root owned outright by
    whichever worker runs it (private env copy, private arrays).
@@ -1001,8 +1060,8 @@ type 'a witem = {
    worker drains, and the caller re-runs the plan engine — whose
    result in exactly those cases is the documented semantics. *)
 type 'a cshared = {
-  g_visited : 'a ckey Visited.t option;
-  g_intern : (int * enc) Visited.Intern.t;
+  g_visited : 'a vkey Visited.t option;
+  g_intern : intern;
       (* names each (history-so-far, next result) pair; a process's
          whole history is thus one id, rebuilt incrementally per step *)
   g_runs : int Atomic.t;
@@ -1040,28 +1099,10 @@ let fresh_cworker () =
 
 exception Abort
 
-(* Insert a finished process's decided value, keeping the list sorted
-   by pid so completion order cannot split equal states. *)
-let rec dvals_add pid v = function
-  | [] -> [ (pid, v) ]
-  | (p, _) as e :: tl ->
-      if pid < p then (pid, v) :: e :: tl else e :: dvals_add pid v tl
-
 let cseen g acc key =
   match g.g_visited with
   | None -> false
-  | Some tbl -> Visited.seen_or_add tbl ~hash:(ckey_hash key) key acc.c_vstats
-
-(* Sorted insert keeping the sleep list canonical by construction
-   (choices are unique within a list, so ordering by choice is total).
-   [rsleep_filter] only keeps, drops or retags entries in place, so
-   sortedness is preserved down the tree and the visited key can embed
-   the list as-is instead of sorting at every arrival. *)
-let rec sleep_insert b = function
-  | [] -> [ (b, false) ]
-  | (u, _) as e :: tl ->
-      if compare b u < 0 then (b, false) :: e :: tl
-      else e :: sleep_insert b tl
+  | Some tbl -> Visited.seen_or_add tbl ~hash:(vkey_hash key) key acc.c_vstats
 
 (* Run one work item to completion (or abort). The DFS mirrors [dfs]
    exactly — same branch order, same terminal handling — with three
@@ -1088,12 +1129,12 @@ let crun (g : 'a cshared) (acc : cworker) pool ~worker (it : 'a witem) =
   Buffer.add_string sbuf it.w_sched;
   let ckey depth rev_crashed sleep =
     {
-      ck_depth = depth;
-      ck_crashed = rev_crashed;
-      ck_procs = Array.copy pkey;
-      ck_done = !dvals;
-      ck_env = !esig;
-      ck_sleep = sleep;
+      k_depth = depth;
+      k_crashed = rev_crashed;
+      k_procs = Array.copy pkey;
+      k_done = !dvals;
+      k_env = !esig;
+      k_sleep = sleep;
     }
   in
   let complete ~truncated rev_crashed =
@@ -1133,7 +1174,7 @@ let crun (g : 'a cshared) (acc : cworker) pool ~worker (it : 'a witem) =
   let rec node depth crashes rev_crashed sleep resume =
     if Atomic.get g.g_stop then raise Abort;
     match resume with
-    | Some branches -> expand (node_fps ()) depth crashes rev_crashed sleep branches
+    | Some branches -> expand (fps_here ()) depth crashes rev_crashed sleep branches
     | None ->
         let live =
           let rec go i l =
@@ -1161,20 +1202,12 @@ let crun (g : 'a cshared) (acc : cworker) pool ~worker (it : 'a witem) =
                 :: (if crashes < g.g_max_crashes then [ Crash pid ] else []))
               live
           in
-          expand (node_fps ()) depth crashes rev_crashed sleep branches
-  and node_fps () =
-    (* Refined footprints of every process's next op at this node,
-       shared by all the node's branches (states are restored between
-       descents, so they cannot go stale). Skipped when not dedup'ing:
-       the filter is the only consumer. *)
-    if not dedup then [||]
-    else
-      Array.mapi
-        (fun pid s ->
-          match s with
-          | Running p -> rfootprint ~pid p
-          | Done _ | Crashed -> R_none)
-        states
+          expand (fps_here ()) depth crashes rev_crashed sleep branches
+  and fps_here () =
+    (* States are restored between descents, so the node's footprints
+       cannot go stale. Skipped when not dedup'ing: the filter and the
+       store signature are the only consumers. *)
+    if not dedup then [||] else node_fps states
   and expand fps depth crashes rev_crashed sleep = function
     | [] -> ()
     | b :: rest -> (
@@ -1241,11 +1274,7 @@ let crun (g : 'a cshared) (acc : cworker) pool ~worker (it : 'a witem) =
                     | Prog.Step (op, k) ->
                         let r = Env.apply env ~pid op in
                         if dedup then begin
-                          let e = (saved_pk, encode_result op r) in
-                          pkey.(pid) <-
-                            Visited.Intern.id g.g_intern
-                              ~hash:(Hashtbl.hash_param 64 256 e)
-                              e;
+                          pkey.(pid) <- intern_step g.g_intern saved_pk op r;
                           esig := esig_step env saved_es fps.(pid) ~pid
                         end;
                         states.(pid) <- Running (k r));
@@ -1262,7 +1291,7 @@ let crun (g : 'a cshared) (acc : cworker) pool ~worker (it : 'a witem) =
                 states.(pid) <- Crashed;
                 pkey.(pid) <- -1;
                 let child_sleep =
-                  if dedup then rsleep_filter_crash pid sleep else []
+                  if dedup then sleep_filter_crash pid sleep else []
                 in
                 node (depth + 1) (crashes + 1) (pid :: rev_crashed) child_sleep
                   None;

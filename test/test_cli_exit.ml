@@ -62,6 +62,10 @@ let table =
        error, not an exception *)
     ("sdl check ../bin/asmsim.exe", 2);
     ("sdl fmt /no/such/file.sdl", 2);
+    (* an xsa whose owner election the x 1 model cannot host is a
+       validation error, before anything executes *)
+    ("sdl check " ^ tmp "cli_xsa_x1.sdl", 2);
+    ("explore --scenario-file " ^ tmp "cli_xsa_x1.sdl", 2);
     ("stats ../examples/x_safe_agreement.sdl --algo safe_agreement", 2);
     ("sweep --algo safe_agreement --tiers gamma-rays", 2);
     ("explore --algo no_such_scenario", 2);
@@ -74,7 +78,14 @@ let table =
       3 );
   ]
 
+let xsa_x1_src =
+  {|scenario "xsa_x1" { nprocs 3 min 2 x 1 objects { xsa XSA x 1 }
+  process all { propose XSA [] pid let v = decide XSA [] decide v }
+  property agreement in 0 .. nprocs - 1 }|}
+
 let exit_codes () =
+  Out_channel.with_open_bin (tmp "cli_xsa_x1.sdl") (fun oc ->
+      output_string oc xsa_x1_src);
   List.iter
     (fun (args, expected) ->
       Alcotest.(check int)

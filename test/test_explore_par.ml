@@ -121,6 +121,75 @@ let skewed_steals () =
     [ 2; 8 ]
 
 (* ------------------------------------------------------------------ *)
+(* golden pins: the plan engine against recorded values                 *)
+(* ------------------------------------------------------------------ *)
+
+(* The identity tests above compare the plan engine with itself (jobs,
+   in-process vs --dist), so a state-key change that altered dedup or
+   sleep decisions would pass all of them. These pins were recorded
+   from the canonical-store keys the plan engine used before it adopted
+   interned history ids and the incremental store signature; any key
+   change must reproduce them exactly. The seeded bugs run at the
+   benchmark's explore-bugs depths, the clean scenario at the service
+   workload's. *)
+let plan_pins =
+  [
+    ( "x_safe_agreement_first_subset", 1, 16, None,
+      (5288, 928, 27033, 5288, false),
+      Some "0.0.0.1.1.2.2.2.2.2.2.2.0.0.0.2" );
+    ( "x_safe_agreement_first_subset", 1, 17, None,
+      (6645, 1939, 37383, 6645, false),
+      Some "0.0.0.1.1.X1.2.2.2.2.2.2.2.0.0.0.2" );
+    ( "safe_agreement_no_cancel", 1, 18, None,
+      (380, 675, 1675, 201, false),
+      Some "1.1.1.1.0.0.0.0.0.1" );
+    ("safe_agreement", 1, 10, None, (19083, 8394, 21473, 19083, false), None);
+    ("safe_agreement", 2, 10, None, (23809, 15242, 26920, 23653, false), None);
+    (* the run budget cuts the merge mid-plan *)
+    ("safe_agreement", 1, 10, Some 5000, (5207, 2353, 5932, 5207, true), None);
+  ]
+
+let plan_golden () =
+  List.iter
+    (fun (name, max_crashes, max_steps, max_runs, counts, sched) ->
+      let explored, pruned_s, pruned_c, truncated, exhausted = counts in
+      let s = scenario name in
+      let metrics = Metrics.create ~wall_clock:false () in
+      let r =
+        Explore.exhaustive_plan ~jobs:1 ~max_crashes ?max_runs ~max_steps
+          ~metrics ~make:s.Experiments.Scenario.make
+          ~property:s.Experiments.Scenario.exhaustive_property ()
+      in
+      let label =
+        Printf.sprintf "%s crashes=%d depth=%d%s" name max_crashes max_steps
+          (match max_runs with
+          | Some n -> Printf.sprintf " max_runs=%d" n
+          | None -> "")
+      in
+      check Alcotest.int (label ^ ": explored") explored r.Explore.explored;
+      check Alcotest.int (label ^ ": pruned states") pruned_s
+        r.Explore.pruned_states;
+      check Alcotest.int (label ^ ": pruned commutes") pruned_c
+        r.Explore.pruned_commutes;
+      Alcotest.(check bool)
+        (label ^ ": exhausted") exhausted r.Explore.exhausted_budget;
+      check Alcotest.string
+        (label ^ ": counterexample")
+        (match sched with
+        | None -> "none"
+        | Some sched -> sched ^ " | agreement: two distinct values decided")
+        (match r.Explore.counterexample with
+        | None -> "none"
+        | Some (run, msg) -> run.Explore.schedule ^ " | " ^ msg);
+      check Alcotest.string (label ^ ": metrics snapshot")
+        (Printf.sprintf
+           "{\"counters\":{%s\"explore.pruned_commutes\":%d,\"explore.pruned_source\":0,\"explore.pruned_states\":%d,\"explore.runs\":%d,\"explore.truncated\":%d},\"gauges\":{},\"histograms\":{}}"
+           (if sched = None then "" else "\"explore.counterexamples\":1,")
+           pruned_c pruned_s explored truncated)
+        (Metrics.snapshot_string metrics))
+    plan_pins
+
+(* ------------------------------------------------------------------ *)
 (* undo-journal rollback property                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -296,15 +365,27 @@ let dedup_verdict_parity () =
                ~make:s.Experiments.Scenario.make
                ~property:s.Experiments.Scenario.exhaustive_property ()
            in
+           (* The plan engine keys states its own way (per-task interning
+              tables), so its clean path gets its own column. *)
+           let run_plan () =
+             Explore.exhaustive_plan ~frontier_depth:3 ~max_steps
+               ~make:s.Experiments.Scenario.make
+               ~property:s.Experiments.Scenario.exhaustive_property ()
+           in
            let verdict (r : Univ.t Explore.result) =
              match r.Explore.counterexample with
              | None -> "ok"
              | Some (_, msg) -> "cex: " ^ msg
            in
+           let reference = verdict (run false) in
            check Alcotest.string
              (s.Experiments.Scenario.name ^ ": dedup preserves the verdict")
-             (verdict (run false))
-             (verdict (run true))
+             reference (verdict (run true));
+           check Alcotest.string
+             (s.Experiments.Scenario.name
+            ^ ": the plan engine's dedup preserves the verdict")
+             reference
+             (verdict (run_plan ()))
          end)
 
 let suite =
@@ -317,6 +398,7 @@ let suite =
           first_subset_jobs;
         Alcotest.test_case "skewed tree: steal-heavy jobs identical" `Quick
           skewed_steals;
+        Alcotest.test_case "plan engine: golden pins" `Quick plan_golden;
         Alcotest.test_case "canonical hash ignores creation order" `Quick
           prewarm_hash_stable;
         Alcotest.test_case "dedup on/off verdict parity" `Quick

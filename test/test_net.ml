@@ -131,14 +131,16 @@ let kill_once_joined ~err target =
     Unix.stdin Unix.stdout Unix.stderr
 
 (* A real worker process of the real binary, stderr captured so tests
-   can prove the chaos harness actually fired. *)
-let start_worker ?chaos ~err port =
+   can prove the chaos harness actually fired (or, with [debug], read
+   what the worker decided). *)
+let start_worker ?chaos ?(debug = false) ~err port =
   let args =
     [ exe; "work"; "--connect"; Printf.sprintf "127.0.0.1:%d" port ]
     @ (match chaos with
       | None -> []
       | Some (mode, every) ->
           [ "--chaos-net"; mode; "--chaos-every"; string_of_int every ])
+    @ if debug then [ "--log-level"; "debug" ] else []
   in
   let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
   let errfd =
@@ -415,6 +417,90 @@ let dsl_source_identity () =
             (sweep_repr o);
           Alcotest.(check bool) "shards were executed remotely" true
             (stats.Dist.Client.executed > 0))
+
+(* ------------------------------------------------------------------ *)
+(* a long-lived worker's plan cache                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* A stand-in server speaking the worker protocol by hand: it opens
+   more jobs on one real worker process than the worker keeps expanded,
+   then assigns a shard of the first — by now evicted — job. The worker
+   must re-expand it and answer with the byte-identical payload a fresh
+   local expansion computes. *)
+let worker_reexpands_evicted_job () =
+  let dir = fresh_dir () in
+  let lfd, port =
+    Dist.Net.listen (Unix.ADDR_INET (Unix.inet_addr_loopback, 0))
+  in
+  let err = Filename.concat dir "w-cache.err" in
+  let worker = start_worker ~debug:true ~err port in
+  Fun.protect
+    ~finally:(fun () ->
+      kill_quiet worker Sys.sigkill;
+      ignore (reap worker);
+      try Unix.close lfd with Unix.Unix_error _ -> ())
+    (fun () ->
+      (match Unix.select [ lfd ] [] [] 10. with
+      | [], _, _ -> Alcotest.fail "the worker never connected"
+      | _ -> ());
+      let fd, _ = Unix.accept lfd in
+      let read () =
+        match Dist.Frame.read ~timeout:30. fd with
+        | Ok v -> v
+        | Error e -> Alcotest.failf "worker link: %a" Dist.Frame.pp_error e
+      in
+      (match Dist.Proto.hello_of_json (read ()) with
+      | Ok h ->
+          check Alcotest.string "worker fingerprint" (fingerprint ())
+            h.Dist.Proto.h_fingerprint
+      | Error m -> Alcotest.failf "unreadable hello: %s" m);
+      Dist.Frame.write fd (Dist.Proto.welcome_to_json Dist.Proto.Welcome);
+      let send m = Dist.Frame.write fd (Dist.Proto.net_to_worker_to_json m) in
+      let rec recv () =
+        match Dist.Proto.net_from_worker_of_json (read ()) with
+        | Ok (Dist.Proto.Nf_pong _ | Dist.Proto.Nf_progress _) -> recv ()
+        | Ok m -> m
+        | Error m -> Alcotest.failf "unreadable worker frame: %s" m
+      in
+      (* Five distinct explore jobs: one more than the worker caches. *)
+      let s = scenario "safe_agreement" in
+      let jobs =
+        List.init 5 (fun i ->
+            ( Printf.sprintf "j%d" i,
+              Experiments.Harness.explore_job ~max_crashes:1
+                ~max_steps:(6 + i) s ))
+      in
+      let cells =
+        List.map
+          (fun (jid, job) ->
+            send (Dist.Proto.Nw_job { jid; job });
+            match recv () with
+            | Dist.Proto.Nf_job_ok { jid = j; cells } when j = jid -> cells
+            | _ -> Alcotest.failf "job %s not opened" jid)
+          jobs
+      in
+      let jid0, job0 = List.hd jobs in
+      let hi = min 4 (List.hd cells) in
+      send (Dist.Proto.Nw_assign { jid = jid0; shard = 0; lo = 0; hi });
+      let payload =
+        match recv () with
+        | Dist.Proto.Nf_result { jid; shard = 0; payload } when jid = jid0 ->
+            payload
+        | _ -> Alcotest.fail "no result for the evicted job's shard"
+      in
+      let local =
+        match Experiments.Harness.dist_instance job0 with
+        | Ok inst -> Dist.Worker.compute_shard inst ~lo:0 ~hi ~tick:ignore
+        | Error m -> Alcotest.failf "local expansion failed: %s" m
+      in
+      check Alcotest.string "evicted job's shard, byte-identical"
+        (Json.to_string local) (Json.to_string payload);
+      send Dist.Proto.Nw_shutdown;
+      (match reap worker with
+      | Unix.WEXITED 0 -> ()
+      | _ -> Alcotest.fail "worker did not exit cleanly on shutdown");
+      Alcotest.(check bool) "the shard really came from a re-expansion" true
+        (contains_sub (read_file err) "re-expanded evicted job j0"))
 
 (* ------------------------------------------------------------------ *)
 (* identity over TCP, clean and under chaos                             *)
@@ -755,5 +841,7 @@ let suite =
           cache_answers_completed_resubmit;
         Alcotest.test_case "SIGTERM drains; the job resumes" `Quick
           drain_and_resume;
+        Alcotest.test_case "worker re-expands an evicted job" `Quick
+          worker_reexpands_evicted_job;
       ] );
   ]

@@ -255,6 +255,11 @@ let validate_reject_table =
     ( {|scenario "a" { nprocs 3 x 1 process 0 .. 1 { decide 0 }
         property agreement in 0 .. 1 }|},
       "block" );
+    (* xsa owner election runs test&set: x 1 needs static owners *)
+    ( {|scenario "a" { nprocs 3 x 1 objects { xsa XSA x 1 }
+        process all { propose XSA [] pid let v = decide XSA [] decide v }
+        property agreement in 0 .. 2 }|},
+      "static_owners" );
     (* port discipline: 2 unconditional proposers on a 1-port cons *)
     ( {|scenario "a" { nprocs 2 x 1 objects { cons C ports 1 }
         process all { let v = propose C [0] pid decide v }
@@ -276,6 +281,29 @@ let validator_rejects () =
 
 let validator_accepts_golden () =
   ok_or_fail (Sdl.Validate.validate (parse_ok golden_src))
+
+(* The x 1 xsa the validator still accepts — fixed owners, no test&set
+   — must compile and run clean through both the explorer and the
+   sweeper. *)
+let xsa_static_x1_src =
+  {|scenario "xsa_static_x1" { nprocs 3 min 2 x 1 explore_steps 10
+  objects { xsa XSA x 1 static_owners }
+  process all { propose XSA [] (10 + pid) let v = decide XSA [] decide v }
+  property agreement in 10 .. 10 + nprocs - 1 }|}
+
+let xsa_static_x1_runs () =
+  let s =
+    match Experiments.Scenario.of_source xsa_static_x1_src with
+    | Ok s -> s
+    | Error m -> Alcotest.failf "rejected: %s" m
+  in
+  (match Experiments.Harness.explore_scenario ~max_crashes:1 s with
+  | Ok r ->
+      Alcotest.(check bool) "explore clean" true
+        (r.Svm.Explore.counterexample = None)
+  | Error m -> Alcotest.failf "explore refused: %s" m);
+  let o = Experiments.Harness.sweep_scenario s in
+  Alcotest.(check bool) "sweep clean" true (o.Svm.Explore.found = None)
 
 (* fmt -> parse must be the identity up to spans, and generated
    scenarios must validate: the generator, printer, parser and
@@ -392,6 +420,8 @@ let suite =
       [
         Alcotest.test_case "rejection table" `Quick validator_rejects;
         Alcotest.test_case "accepts the golden" `Quick validator_accepts_golden;
+        Alcotest.test_case "x 1 xsa with static owners runs" `Quick
+          xsa_static_x1_runs;
       ] );
     ( "sdl-roundtrip",
       [ QCheck_alcotest.to_alcotest roundtrip ] );
