@@ -186,7 +186,9 @@ smoke-sdl: build
 #      a --check exit of 1 — never a crash;
 #   4. compaction must preserve the listing byte for byte;
 #   5. a finding extracted from the corpus must replay (exit 1 = the
-#      violation reproduced).
+#      violation reproduced);
+#   6. with every segment index deleted, the per-record rescan must list
+#      the same corpus byte for byte and re-seal every segment.
 smoke-soak: build
 	rm -rf _build/soaksmoke && mkdir -p _build/soaksmoke
 	set -e; \
@@ -197,6 +199,14 @@ smoke-soak: build
 	$$BIN corpus $$D/clean --check > /dev/null; \
 	$$BIN corpus $$D/clean --list --kind finding > $$D/clean.list; \
 	test -s $$D/clean.list; \
+	$$BIN corpus $$D/clean --list > $$D/sealed.list; \
+	rm $$D/clean/segments/*.idx; \
+	$$BIN corpus $$D/clean --list > $$D/rescanned.list; \
+	diff $$D/sealed.list $$D/rescanned.list; \
+	$$BIN corpus $$D/clean --check > /dev/null; \
+	for f in $$D/clean/segments/*.idx; do \
+	  test "$$(head -c 6 $$f)" = "idx 2 "; \
+	done; \
 	code=0; timeout $(SMOKE_TIMEOUT) $$BIN soak $$SOAK --corpus $$D/chaos \
 	  --chaos-store torn --chaos-at 3 > /dev/null 2>&1 || code=$$?; \
 	test $$code -eq 137; \

@@ -2227,8 +2227,10 @@ let corpus_cmd =
       value & flag
       & info [ "check" ]
           ~doc:
-            "Re-verify every record's content address; print a typed report \
-             per quarantined record and exit 1 if there are any.")
+            "Verify every cemented byte — each segment against its seal, \
+             re-verifying every record's content address in a segment that \
+             fails it or has no sealed index; print a typed report per \
+             quarantined record and exit 1 if there are any.")
   in
   let compact =
     Arg.(
@@ -2290,8 +2292,10 @@ let corpus_cmd =
               List.sort compare rows
               |> List.iter (fun (d, k) -> Format.printf "%s %s@." d k)
             end;
-            (* Opening (and any listing) already re-verified everything;
-               the quarantine list is the verdict. *)
+            (* Opening already verified every segment against its seal
+               (re-verifying each record of a segment that failed it), and
+               any listing re-verified the records it read; the
+               quarantine list is the verdict. *)
             let quarantined = Corpus.Store.quarantined store in
             if check then begin
               List.iter
@@ -2316,8 +2320,9 @@ let corpus_cmd =
   Cmd.v
     (Cmd.info "corpus"
        ~doc:
-         "Inspect a soak corpus: list content addresses, re-verify every \
-          record (--check), or compact the cemented segments")
+         "Inspect a soak corpus: list content addresses, verify every \
+          segment against its seal (--check), or compact the cemented \
+          segments")
     Term.(const run $ dir $ list $ kind $ cat $ check $ compact)
 
 let () =

@@ -14,6 +14,9 @@ let run_case args =
   | Unix.WSIGNALED s -> Alcotest.failf "killed by signal %d" s
   | Unix.WSTOPPED s -> Alcotest.failf "stopped by signal %d" s
 
+(* A corpus directory no earlier run has touched. *)
+let corpus_dir = tmp (Printf.sprintf "asmsim-cli-corpus-%d" (Unix.getpid ()))
+
 let table =
   [
     (* 0 — clean *)
@@ -39,9 +42,13 @@ let table =
     ("scenarios", 0);
     ("scenarios --json --scenario-dir ../examples", 0);
     ("stats --scenario-file ../examples/safe_agreement_no_cancel.sdl --json", 0);
+    ("corpus " ^ corpus_dir, 0);
     (* 1 — finding *)
     ("sweep --algo safe_agreement_no_cancel --out " ^ tmp "cli2.replay", 1);
     ("explore --algo safe_agreement_no_cancel --crashes 1", 1);
+    (* a malformed address is a miss like any other, never an internal
+       error *)
+    ("corpus " ^ corpus_dir ^ " --cat zz", 1);
     (* 2 — usage or input error *)
     ("definitely-not-a-subcommand", 2);
     ("canonical", 2);
@@ -93,5 +100,27 @@ let exit_codes () =
         expected (run_case args))
     table
 
+let corpus_cat_malformed () =
+  let out = tmp (Printf.sprintf "asmsim-cli-cat-%d.err" (Unix.getpid ())) in
+  let cmd =
+    Printf.sprintf "%s corpus %s --cat zz >/dev/null 2>%s" (Filename.quote exe)
+      (Filename.quote corpus_dir) (Filename.quote out)
+  in
+  Alcotest.(check bool) "exit 1" true (Unix.system cmd = Unix.WEXITED 1);
+  let err = In_channel.with_open_bin out In_channel.input_all in
+  let needle = "no valid record" in
+  let rec found i =
+    i + String.length needle <= String.length err
+    && (String.sub err i (String.length needle) = needle || found (i + 1))
+  in
+  Alcotest.(check bool) "says no valid record" true (found 0)
+
 let suite =
-  [ ("cli-exit", [ Alcotest.test_case "exit-code table" `Quick exit_codes ]) ]
+  [
+    ( "cli-exit",
+      [
+        Alcotest.test_case "exit-code table" `Quick exit_codes;
+        Alcotest.test_case "corpus --cat of a malformed address" `Quick
+          corpus_cat_malformed;
+      ] );
+  ]

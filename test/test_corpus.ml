@@ -126,6 +126,11 @@ let store_dedup_and_reopen () =
       | `Duplicate _ -> ()
       | `Added _ -> Alcotest.fail "same content must dedup");
       check Alcotest.int "duplicates count once" 2 (Store.count st);
+      (* A malformed address is simply absent, never an exception. *)
+      Alcotest.(check bool) "malformed address not a member" false
+        (Store.mem st "zz");
+      Alcotest.(check bool) "malformed address not found" true
+        (Store.find st "zz" = None);
       match Store.find st (Record.digest r2) with
       | Some r -> check Alcotest.string "find re-reads the bytes"
           (Record.to_bytes r2) (Record.to_bytes r)
@@ -183,7 +188,9 @@ let bitflip_quarantines () =
       (match Store.quarantined st with
       | [ q ] -> (
           match q.Store.q_reason with
-          | Store.Q_digest _ -> ()
+          | Store.Q_digest { expected; _ } ->
+              check Alcotest.string "the corrupted record's address"
+                (Record.digest r2) expected
           | Store.Q_malformed m ->
               Alcotest.failf "expected a digest quarantine, got malformed: %s" m)
       | qs -> Alcotest.failf "expected 1 quarantined record, got %d"
@@ -197,6 +204,125 @@ let bitflip_quarantines () =
       match Store.compact st with
       | Error _ -> ()
       | Ok _ -> Alcotest.fail "compaction must refuse a quarantined corpus")
+
+(* ------------------------------------------------------------------ *)
+(* seals: one digest per segment, the per-record scan as the fallback   *)
+(* ------------------------------------------------------------------ *)
+
+let seg_path dir id =
+  Filename.concat (Filename.concat dir "segments")
+    (Printf.sprintf "seg-%08d.cor" id)
+
+let idx_path dir id =
+  Filename.concat (Filename.concat dir "segments")
+    (Printf.sprintf "seg-%08d.idx" id)
+
+(* Nine records cemented three at a time: three sealed segments. *)
+let three_segments () =
+  let dir = fresh_dir () in
+  with_store dir (fun st ->
+      List.iteri
+        (fun i r ->
+          ignore (Store.add st r);
+          if i mod 3 = 2 then Store.cement st)
+        (List.init 9 (fun i -> record (Printf.sprintf "sealed %d" i))));
+  dir
+
+let digests st = List.map fst (all_records st)
+
+let flip_bit path i =
+  let bytes = Bytes.of_string (read_file path) in
+  Bytes.set bytes i (Char.chr (Char.code (Bytes.get bytes i) lxor 1));
+  write_file path (Bytes.to_string bytes)
+
+let sealed_open_matches_rescan () =
+  let dir = three_segments () in
+  let sealed =
+    with_store dir (fun st ->
+        check Alcotest.int "three segments" 3 (Store.segments st);
+        (Store.count st, digests st, Store.quarantined st))
+  in
+  let idx = List.map (fun id -> read_file (idx_path dir id)) [ 1; 2; 3 ] in
+  List.iter
+    (fun s ->
+      check Alcotest.string "cement writes a sealed idx" "idx 2 "
+        (String.sub s 0 6))
+    idx;
+  List.iter (fun id -> Sys.remove (idx_path dir id)) [ 1; 2; 3 ];
+  let rescanned =
+    with_store dir (fun st ->
+        (Store.count st, digests st, Store.quarantined st))
+  in
+  let count (c, _, _) = c and ds (_, d, _) = d and qs (_, _, q) = q in
+  check Alcotest.int "same count" (count sealed) (count rescanned);
+  check Alcotest.(list string) "same records in the same order" (ds sealed)
+    (ds rescanned);
+  check Alcotest.int "nothing quarantined" 0
+    (List.length (qs sealed) + List.length (qs rescanned));
+  check
+    Alcotest.(list string)
+    "the rescan re-seals byte-identically" idx
+    (List.map (fun id -> read_file (idx_path dir id)) [ 1; 2; 3 ])
+
+(* A damaged, outdated or missing idx is not a damaged segment: open
+   falls back to the per-record scan, quarantines nothing, and writes
+   the same sealed idx cement would have. *)
+let broken_idx_is_resealed () =
+  let damage =
+    [
+      ( "flipped idx row",
+        fun path ->
+          (* the first row's offset, 0 -> 1: still a readable row, no
+             longer the one the rows MD5 covers *)
+          flip_bit path (String.index (read_file path) '\n' + 1) );
+      ( "idx 1 header",
+        fun path ->
+          let s = read_file path in
+          let nl = String.index s '\n' in
+          let n =
+            List.nth (String.split_on_char ' ' (String.sub s 0 nl)) 2
+          in
+          write_file path
+            ("idx 1 " ^ n ^ String.sub s nl (String.length s - nl)) );
+      ("missing idx", Sys.remove);
+    ]
+  in
+  List.iter
+    (fun (what, damage) ->
+      let dir = three_segments () in
+      let before = with_store dir digests in
+      let sealed = read_file (idx_path dir 2) in
+      damage (idx_path dir 2);
+      with_store dir (fun st ->
+          check Alcotest.int (what ^ ": no quarantine") 0
+            (List.length (Store.quarantined st));
+          check Alcotest.(list string) (what ^ ": same records") before
+            (digests st));
+      check Alcotest.string (what ^ ": idx rewritten sealed") sealed
+        (read_file (idx_path dir 2)))
+    damage
+
+(* Compaction seals its output, so it must not copy bytes that changed
+   after open: a segment corrupted in between fails its seal and its
+   per-record scan, compaction refuses, and the reopen quarantines it. *)
+let compaction_rechecks_input () =
+  let dir = three_segments () in
+  let seg2 = read_file (seg_path dir 2) in
+  with_store dir (fun st ->
+      flip_bit (seg_path dir 2) (String.length seg2 - 2);
+      (match Store.compact st with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.fail "compaction sealed bytes it never verified");
+      check Alcotest.int "input segments untouched" 3 (Store.segments st));
+  with_store dir (fun st ->
+      check Alcotest.int "three segments remain" 3 (Store.segments st);
+      match Store.quarantined st with
+      | [ { Store.q_reason = Store.Q_digest _; q_file; _ } ] ->
+          check Alcotest.string "the corrupted segment"
+            (Filename.concat "segments" "seg-00000002.cor")
+            q_file
+      | qs -> Alcotest.failf "expected 1 digest quarantine, got %d"
+          (List.length qs))
 
 (* ------------------------------------------------------------------ *)
 (* compaction: byte-identity in, byte-identity out                      *)
@@ -351,6 +477,12 @@ let suite =
           torn_tail_truncated;
         Alcotest.test_case "bit-flip quarantines, typed; compaction refuses"
           `Quick bitflip_quarantines;
+        Alcotest.test_case "sealed open equals the per-record rescan" `Quick
+          sealed_open_matches_rescan;
+        Alcotest.test_case "damaged, old or missing idx is re-sealed" `Quick
+          broken_idx_is_resealed;
+        Alcotest.test_case "compaction re-verifies input changed after open"
+          `Quick compaction_rechecks_input;
         Alcotest.test_case "compaction is byte-identical to its input" `Quick
           compaction_preserves_bytes;
         Alcotest.test_case "SIGKILL mid-append, resume converges" `Quick
