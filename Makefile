@@ -337,9 +337,12 @@ ci: check
 #   1. the seeded bug (counterexample => the plan-engine fallback
 #      defines the verdict): stdout at jobs=8 must diff clean against
 #      jobs=1;
-#   2. a clean scenario (the work-stealing engine's own result is
+#   2. two clean scopes (the work-stealing engine's own result is
 #      kept): stdout AND the merged deterministic metrics snapshot
-#      (--metrics-out) must diff clean between jobs=1 and jobs=8.
+#      (--metrics-out) must diff clean between jobs=1 and jobs=8 —
+#      safe_agreement (deduplication-heavy) and x_safe_agreement with
+#      one crash at depth 13 (sleep/source-heavy: 16 pruned states and
+#      8 source-blocked transitions).
 explore-determinism: build
 	rm -rf _build/exdet && mkdir -p _build/exdet
 	timeout $(SMOKE_TIMEOUT) $(ASMSIM) explore --algo safe_agreement_no_cancel \
@@ -355,6 +358,14 @@ explore-determinism: build
 	  > _build/exdet/clean-j8.out
 	diff _build/exdet/clean-j1.out _build/exdet/clean-j8.out
 	diff _build/exdet/clean-j1.metrics.json _build/exdet/clean-j8.metrics.json
+	timeout $(SMOKE_TIMEOUT) $(ASMSIM) explore --algo x_safe_agreement \
+	  --crashes 1 --steps 13 --jobs 1 \
+	  --metrics-out _build/exdet/xsa-j1.metrics.json > _build/exdet/xsa-j1.out
+	timeout $(SMOKE_TIMEOUT) $(ASMSIM) explore --algo x_safe_agreement \
+	  --crashes 1 --steps 13 --jobs 8 \
+	  --metrics-out _build/exdet/xsa-j8.metrics.json > _build/exdet/xsa-j8.out
+	diff _build/exdet/xsa-j1.out _build/exdet/xsa-j8.out
+	diff _build/exdet/xsa-j1.metrics.json _build/exdet/xsa-j8.metrics.json
 
 ci-heavy: ci test-heavy soak-heap
 

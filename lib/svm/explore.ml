@@ -233,103 +233,118 @@ let rloc = function
       Some (f, k)
 
 (* ------------------------------------------------------------------ *)
+(* Interned names                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* Everything a visited key mentions that is not already a small int is
+   named by an id in one interning table per walk (one per engine C
+   pass, one per phase-A walk or plan task): a process's history, one
+   store entry, one oracle query count, one decided value. Within one
+   table id equality is exactly (polymorphic) equality of the named
+   values, so two keys made of ids are equal exactly when the states
+   they name agree component by component. Id 0 is never handed out
+   (see [Visited.Intern]), which leaves it for the root history.
+
+   A history id names a (history-so-far id, next result) pair, so a
+   process's whole history is one id, extended in O(1) per step;
+   relative to the same root ids, id equality is history equality. *)
+type 'a name =
+  | N_hist of int * enc
+  | N_entry of (Op.fam * Op.key) * Env.instance_sig
+  | N_oracle of (Op.fam * int) * int
+  | N_value of 'a
+
+type 'a intern = 'a name Visited.Intern.t
+
+let name_id (tbl : 'a intern) n =
+  Visited.Intern.id tbl ~hash:(Hashtbl.hash_param 64 256 n) n
+
+let intern_step tbl pk op r = name_id tbl (N_hist (pk, encode_result op r))
+
+(* Per-walk interning table size. Constant: a plan-engine table lives
+   for one phase-A walk or one task and dies with it (one stripe); an
+   engine C pass shares the default-sized one across its domains. *)
+let task_intern_buckets = 1024
+
+(* ------------------------------------------------------------------ *)
 (* The store signature                                                  *)
 (* ------------------------------------------------------------------ *)
 
 (* The store fingerprint, maintained incrementally: the same two sorted
-   association lists [Env.canonical] would produce, plus an XOR of a
-   hash of every entry. One operation touches one instance, so a step
-   updates one entry (sharing the untouched tail), and the XOR
-   composition makes the hash delta O(1). Each entry caches its own
-   hash so an update hashes only the new entry. [es_hash] is a pure
-   function of the two lists, so it may sit inside the visited key:
-   equal signatures always agree on it (and it doubles as a fast
-   equality reject). Backtracking restores the previous value by
-   pointer — the lists are immutable. *)
+   association lists [Env.canonical] would produce, each entry carrying
+   its interned id (an [N_entry] or [N_oracle] name). One operation
+   touches one instance, so a step re-interns one entry and shares the
+   untouched tail. Backtracking restores the previous value by pointer
+   — the lists are immutable. *)
 type esig = {
   es_inst : (int * (Op.fam * Op.key) * Env.instance_sig) list;
   es_orc : (int * (Op.fam * int) * int) list;
-  es_hash : int;
 }
 
-let esig_of_canonical c =
+let entry tbl k s = (name_id tbl (N_entry (k, s)), k, s)
+let oracle tbl k n = (name_id tbl (N_oracle (k, n)), k, n)
+
+let esig_of_canonical tbl c =
   let inst, orc = Env.canonical_parts c in
-  let inst = List.map (fun ((k, s) as e) -> (Hashtbl.hash e, k, s)) inst in
-  let orc = List.map (fun ((k, n) as e) -> (Hashtbl.hash e, k, n)) orc in
-  let xor l h = List.fold_left (fun h (eh, _, _) -> h lxor eh) h l in
-  { es_inst = inst; es_orc = orc; es_hash = xor orc (xor inst 0) }
+  {
+    es_inst = List.map (fun (k, s) -> entry tbl k s) inst;
+    es_orc = List.map (fun (k, n) -> oracle tbl k n) orc;
+  }
+
+(* The same signature named in another table — how a plan task re-roots
+   the signature its subtree root carries from the phase-A walk. *)
+let esig_reintern tbl es =
+  {
+    es_inst = List.map (fun (_, k, s) -> entry tbl k s) es.es_inst;
+    es_orc = List.map (fun (_, k, n) -> oracle tbl k n) es.es_orc;
+  }
 
 (* Sorted-assoc update with structural sharing: [Some s] inserts or
-   replaces, [None] removes. Returns the new list (physically the input
-   when nothing changed) and the XOR delta of entry hashes. *)
-let rec sig_update key v l =
+   replaces, [None] removes. Returns the input physically when nothing
+   changed. *)
+let rec sig_update tbl key v l =
   match l with
-  | [] -> (
-      match v with
-      | None -> (l, 0)
-      | Some s ->
-          let eh = Hashtbl.hash (key, s) in
-          ([ (eh, key, s) ], eh))
-  | ((eh', k', s') as e) :: tl -> (
+  | [] -> ( match v with None -> l | Some s -> [ entry tbl key s ])
+  | ((_, k', s') as e) :: tl ->
       let c = compare key k' in
-      if c < 0 then
-        match v with
-        | None -> (l, 0)
-        | Some s ->
-            let eh = Hashtbl.hash (key, s) in
-            ((eh, key, s) :: l, eh)
+      if c < 0 then match v with None -> l | Some s -> entry tbl key s :: l
       else if c = 0 then
         match v with
-        | None -> (tl, eh')
-        | Some s ->
-            if s = s' then (l, 0)
-            else
-              let eh = Hashtbl.hash (key, s) in
-              ((eh, key, s) :: tl, eh' lxor eh)
+        | None -> tl
+        | Some s -> if s = s' then l else entry tbl key s :: tl
       else
-        let tl', d = sig_update key v tl in
-        if tl' == tl then (l, 0) else (e :: tl', d))
+        let tl' = sig_update tbl key v tl in
+        if tl' == tl then l else e :: tl'
 
-let rec orc_bump key l =
+let rec orc_bump tbl key l =
   match l with
-  | [] ->
-      let eh = Hashtbl.hash (key, 1) in
-      ([ (eh, key, 1) ], eh)
-  | ((eh', k', n) as e) :: tl ->
+  | [] -> [ oracle tbl key 1 ]
+  | ((_, k', n) as e) :: tl ->
       let c = compare key k' in
-      if c < 0 then
-        let eh = Hashtbl.hash (key, 1) in
-        ((eh, key, 1) :: l, eh)
-      else if c = 0 then
-        let eh = Hashtbl.hash (key, n + 1) in
-        ((eh, key, n + 1) :: tl, eh' lxor eh)
-      else
-        let tl', d = orc_bump key tl in
-        (e :: tl', d)
+      if c < 0 then oracle tbl key 1 :: l
+      else if c = 0 then oracle tbl key (n + 1) :: tl
+      else e :: orc_bump tbl key tl
 
 (* Advance the fingerprint across one applied operation, whose refined
    footprint names the single location it can have touched. Must run
    after [Env.apply] (it re-reads the touched instance). *)
-let esig_step env es fp ~pid =
+let esig_step tbl env es fp ~pid =
   match fp with
   | R_none -> es
-  | R_oracle (f, _) ->
-      let l, d = orc_bump (f, pid) es.es_orc in
-      { es with es_orc = l; es_hash = es.es_hash lxor d }
+  | R_oracle (f, _) -> { es with es_orc = orc_bump tbl (f, pid) es.es_orc }
   | _ -> (
       match rloc fp with
       | None -> es
       | Some (f, k) ->
-          let l, d = sig_update (f, k) (Env.instance_sig env f k) es.es_inst in
-          if l == es.es_inst then es
-          else { es with es_inst = l; es_hash = es.es_hash lxor d })
+          let l = sig_update tbl (f, k) (Env.instance_sig env f k) es.es_inst in
+          if l == es.es_inst then es else { es with es_inst = l })
 
 (* ------------------------------------------------------------------ *)
 (* Visited-state keys, shared by both engines                           *)
 (* ------------------------------------------------------------------ *)
 
 (* The visited-state key. Everything that determines the remainder of a
-   run's record is in here: remaining depth budget (via [k_depth]),
+   run's record is in here: remaining depth budget (via the depth),
    crash order so far, each process's status (with its op-result history
    standing in for its continuation), the store, and the sleep set (a
    state revisited with a different sleep set explores a different
@@ -338,66 +353,105 @@ let esig_step env es fp ~pid =
    conservative fix). Only the schedule string falls outside the key,
    which is why properties must not read it (see the .mli).
 
-   Every component is cheap to build at each arrival, whatever the
-   depth. [k_procs] is a flat int array: a running process's history
-   collapsed to its interned id (see [intern_step]), [-1] crashed, [-2]
-   finished (ids are never negative) — finished processes' decided
-   values live in [k_done], sorted by pid. [k_env] is the incrementally
-   maintained [esig]. [k_sleep] is sorted by construction (see
-   [sleep_insert]); its tags mark engine C's source-set entries (see
-   [rsleep_filter]) and are always [false] in the plan engine. Two
-   visits that differ only in tags may split their prunes between the
-   two counters, so the tags are key content. *)
-type 'a vkey = {
-  k_depth : int;
-  k_crashed : int list;
-  k_procs : int array;
-  k_done : (int * 'a) list;
-  k_env : esig;
-  k_sleep : (choice * bool) list;
-}
+   A key is one flat int array, hashed and compared as ints:
 
-(* A hand-rolled hash so the per-arrival cost is O(key skeleton), not
-   O(store): the env component contributes its precomputed [es_hash].
-   Any pure function of the key is a valid hash — equality on the
-   bucket is exact, so collisions cost a comparison, never a wrong
-   answer. *)
-let vkey_hash k =
-  let h = ref ((k.k_depth * 0x9e3779b9) lxor k.k_env.es_hash) in
-  let mix v = h := (!h * 31) lxor v in
-  List.iter (fun p -> mix (p + 1)) k.k_crashed;
-  Array.iter mix k.k_procs;
-  List.iter (fun (p, v) -> mix ((p * 31) lxor Hashtbl.hash v)) k.k_done;
-  List.iter
-    (fun (u, tag) ->
-      let c = match u with Step p -> 2 * p | Crash p -> (2 * p) + 1 in
-      mix ((4 * c) + if tag then 3 else 2))
-    k.k_sleep;
-  !h
+   {v [| depth; #crashed; crashed...; proc ids...; #done; pid, value id...;
+        #entries; store-entry ids...; #oracles; oracle ids...; sleep codes... |] v}
 
-(* A history id names a (history-so-far id, next result) pair in one
-   interning table, so a process's whole history is one id, extended
-   in O(1) per step. Within one table, and relative to the same root
-   ids, id equality is exactly history equality: the pairs compare with
-   the same structural equality the histories would. Id 0 is reserved
-   for the root (see [Visited.Intern]). *)
-type intern = (int * enc) Visited.Intern.t
+   The crash list is the reverse crash order. A proc id is a running
+   process's history id, [-1] crashed or [-2] finished (ids are never
+   negative); there is one per process, a number fixed within a table.
+   Finished processes' decided values follow as (pid, value id) pairs
+   sorted by pid, then the store signature's entry and oracle ids in
+   their sorted order, then the sleep set, sorted by construction (see
+   [sleep_insert]), one code per (choice, tag) entry. Every variable
+   segment but the last is length-prefixed, so the array parses
+   uniquely, and each id names its value exactly (see [name]): two keys
+   are equal exactly when every component is. Sleep tags mark engine
+   C's source-set entries (see [rsleep_filter]) and are always [false]
+   in the plan engine; two visits that differ only in tags may split
+   their prunes between the two counters, so the tags are key
+   content. *)
+let sleep_code (u, tag) =
+  let c = match u with Step p -> 2 * p | Crash p -> (2 * p) + 1 in
+  (2 * c) + if tag then 1 else 0
 
-let intern_step (tbl : intern) pk op r =
-  let e = (pk, encode_result op r) in
-  Visited.Intern.id tbl ~hash:(Hashtbl.hash_param 64 256 e) e
+let rec put_list a i = function
+  | [] -> i
+  | x :: tl ->
+      Array.unsafe_set a i x;
+      put_list a (i + 1) tl
 
-(* [k_procs] at a root: every running process at id 0, i.e. its history
-   counted from here. *)
+let rec put_done a i = function
+  | [] -> i
+  | (p, vid, _) :: tl ->
+      Array.unsafe_set a i p;
+      Array.unsafe_set a (i + 1) vid;
+      put_done a (i + 2) tl
+
+let rec put_ids a i = function
+  | [] -> i
+  | (id, _, _) :: tl ->
+      Array.unsafe_set a i id;
+      put_ids a (i + 1) tl
+
+let rec put_sleep a i = function
+  | [] -> ()
+  | e :: tl ->
+      Array.unsafe_set a i (sleep_code e);
+      put_sleep a (i + 1) tl
+
+let vkey ~depth ~rev_crashed ~pkey ~dvals ~es ~sleep =
+  let nc = List.length rev_crashed in
+  let np = Array.length pkey in
+  let nd = List.length dvals in
+  let ni = List.length es.es_inst in
+  let no = List.length es.es_orc in
+  let a =
+    Array.make (5 + nc + np + (2 * nd) + ni + no + List.length sleep) 0
+  in
+  a.(0) <- depth;
+  a.(1) <- nc;
+  let i = put_list a 2 rev_crashed in
+  Array.blit pkey 0 a i np;
+  let i = i + np in
+  a.(i) <- nd;
+  let i = put_done a (i + 1) dvals in
+  a.(i) <- ni;
+  let i = put_ids a (i + 1) es.es_inst in
+  a.(i) <- no;
+  let i = put_ids a (i + 1) es.es_orc in
+  put_sleep a i sleep;
+  a
+
+(* Any pure function of the key is a valid hash — equality on the bucket
+   is exact, so collisions cost a comparison, never a wrong answer. A
+   multiply-xor fold with a final avalanche, so the low bits the tables
+   index by depend on every component. *)
+let vkey_hash (k : int array) =
+  let h = ref (Array.length k) in
+  for i = 0 to Array.length k - 1 do
+    h := (!h lxor Array.unsafe_get k i) * 0x2545F4914F6CDD1D
+  done;
+  let h = !h lxor (!h lsr 31) in
+  let h = h * 0x1B873593A5A5A5 in
+  h lxor (h lsr 29)
+
+(* The proc ids at a root: every running process at id 0, i.e. its
+   history counted from here. *)
 let root_pkey states =
   Array.map (function Running _ -> 0 | Crashed -> -1 | Done _ -> -2) states
 
-(* Insert a finished process's decided value, keeping the list sorted
-   by pid so completion order cannot split equal states. *)
-let rec dvals_add pid v = function
-  | [] -> [ (pid, v) ]
-  | (p, _) as e :: tl ->
-      if pid < p then (pid, v) :: e :: tl else e :: dvals_add pid v tl
+(* Insert a finished process's decided value, with its id, keeping the
+   list sorted by pid so completion order cannot split equal states. *)
+let dval tbl pid v = (pid, name_id tbl (N_value v), v)
+
+let rec dvals_add tbl pid v = function
+  | [] -> [ dval tbl pid v ]
+  | ((p, _, _) as e) :: tl ->
+      if pid < p then dval tbl pid v :: e :: tl else e :: dvals_add tbl pid v tl
+
+let dvals_reintern tbl dvals = List.map (fun (p, _, v) -> dval tbl p v) dvals
 
 (* Sorted insert keeping the sleep list canonical by construction
    (choices are unique within a list, so ordering by choice is total).
@@ -450,35 +504,39 @@ let sleep_filter states fps t_pid sleep =
           | Done _ | Crashed -> false))
     sleep
 
-type 'a visited = (int, 'a vkey list) Hashtbl.t
+(* A walk's private visited table: growable, since a task's subtree
+   size is unknown up front. *)
+module Visited_walk = Hashtbl.Make (struct
+  type t = int array
 
-let seen_or_add (tbl : 'a visited) (key : 'a vkey) =
-  let h = vkey_hash key in
-  match Hashtbl.find_opt tbl h with
-  | Some keys when List.exists (fun k -> k = key) keys -> true
-  | Some keys ->
-      Hashtbl.replace tbl h (key :: keys);
-      false
-  | None ->
-      Hashtbl.add tbl h [ key ];
-      false
+  let equal (a : t) b = a = b
+  let hash = vkey_hash
+end)
+
+let seen_or_add tbl key =
+  Visited_walk.mem tbl key
+  || begin
+       Visited_walk.add tbl key ();
+       false
+     end
 
 (* [pkey], [dvals] and [esig] are the key components of the current
    node (see [vkey]), advanced on descent and restored (an int or
    pointer store) on backtrack. They are maintained only when dedup is
    on — the visited table is their only consumer. [intern] names
-   histories relative to this walk's root (see [run_subtree]). *)
+   histories, store entries and decided values relative to this walk's
+   root (see [run_subtree]). *)
 type 'a ctx = {
   env : Env.t;
   states : 'a pstate array;
   pkey : int array;
-  mutable dvals : (int * 'a) list;
+  mutable dvals : (int * int * 'a) list;
   mutable esig : esig;
-  intern : intern;
+  intern : 'a intern;
   max_steps : int;
   max_crashes : int;
   property : 'a run -> (unit, string) Stdlib.result;
-  visited : 'a visited option; (* None = dedup and sleep sets off *)
+  visited : unit Visited_walk.t option; (* None = dedup and sleep sets off *)
   run_cap : int;
   mutable runs : int;
   mutable truncated : int;
@@ -492,14 +550,7 @@ exception Task_stop
 exception Phase_stop
 
 let make_key ctx depth rev_crashed sleep =
-  {
-    k_depth = depth;
-    k_crashed = rev_crashed;
-    k_procs = Array.copy ctx.pkey;
-    k_done = ctx.dvals;
-    k_env = ctx.esig;
-    k_sleep = sleep;
-  }
+  vkey ~depth ~rev_crashed ~pkey:ctx.pkey ~dvals:ctx.dvals ~es:ctx.esig ~sleep
 
 let mk_run ctx ~truncated rev_crashed rev_choices =
   let outcomes =
@@ -591,7 +642,7 @@ let rec dfs ctx ~frontier ~on_run depth crashes rev_crashed rev_choices sleep =
                           ctx.states.(pid) <- Done v;
                           if dedup then begin
                             ctx.pkey.(pid) <- -2;
-                            ctx.dvals <- dvals_add pid v saved_dv
+                            ctx.dvals <- dvals_add ctx.intern pid v saved_dv
                           end
                       | Prog.Step (op, k) ->
                           let r = Env.apply ctx.env ~pid op in
@@ -599,7 +650,8 @@ let rec dfs ctx ~frontier ~on_run depth crashes rev_crashed rev_choices sleep =
                             ctx.pkey.(pid) <-
                               intern_step ctx.intern saved_pk op r;
                             ctx.esig <-
-                              esig_step ctx.env saved_es fps.(pid) ~pid
+                              esig_step ctx.intern ctx.env saved_es fps.(pid)
+                                ~pid
                           end;
                           ctx.states.(pid) <- Running (k r));
                       let child_sleep =
@@ -660,7 +712,7 @@ type 'a task_result = {
 type 'a subtree = {
   s_env : Env.t;
   s_states : 'a pstate array;
-  s_done : (int * 'a) list;
+  s_done : (int * int * 'a) list;
   s_esig : esig;
   s_depth : int;
   s_crashes : int;
@@ -671,23 +723,19 @@ type 'a subtree = {
 
 type 'a task = T_leaf of 'a task_result | T_subtree of 'a subtree
 
-(* Bucket count of a walk's interning table. Constant: a table lives
-   for one phase-A walk or one task and dies with it. *)
-let task_intern_buckets = 1024
-
-let fresh_ctx ~env ~states ~dvals ~esig ~max_steps ~max_crashes ~property
-    ~dedup ~run_cap =
+let fresh_ctx ~env ~states ~intern ~dvals ~esig ~max_steps ~max_crashes
+    ~property ~dedup ~run_cap =
   {
     env;
     states;
     pkey = root_pkey states;
     dvals;
     esig;
-    intern = Visited.Intern.create ~buckets:task_intern_buckets ();
+    intern;
     max_steps;
     max_crashes;
     property;
-    visited = (if dedup then Some (Hashtbl.create 512) else None);
+    visited = (if dedup then Some (Visited_walk.create 512) else None);
     run_cap;
     runs = 0;
     truncated = 0;
@@ -713,21 +761,26 @@ let task_result_of_ctx ctx =
    path, so running the same subtree twice gives the same answer — the
    merge relies on this to recompute any task the pool skipped.
 
-   The task interns histories in its own table, with every running
-   process re-rooted at id 0. This is exact: the visited table is
-   task-private too, so every key it ever compares belongs to a state
-   below this one root, where each process's full history is its
-   (fixed) history at the root followed by its steps since. Full
-   histories are therefore equal iff the suffixes are, and suffix ids
-   equal iff the suffixes are ([intern_step]). Keys compare
-   position-wise, so two processes sharing an id number never meet. *)
+   The task interns in its own table, with every running process
+   re-rooted at id 0 and the root's store entries and decided values
+   re-named in it. This is exact: the visited table is task-private
+   too, so every key it ever compares belongs to a state below this one
+   root, where each process's full history is its (fixed) history at
+   the root followed by its steps since. Full histories are therefore
+   equal iff the suffixes are, and suffix ids equal iff the suffixes
+   are ([intern_step]); entry and value ids name their values outright.
+   Keys compare position-wise, so two components sharing an id number
+   never meet. *)
 let run_subtree ~dedup ~max_steps ~max_crashes ~run_cap ~property
     (s : 'a subtree) =
   Env.enable_journal s.s_env;
   let cp0 = Env.checkpoint s.s_env in
+  let intern = Visited.Intern.create ~buckets:task_intern_buckets () in
   let ctx =
-    fresh_ctx ~env:s.s_env ~states:(Array.copy s.s_states) ~dvals:s.s_done
-      ~esig:s.s_esig ~max_steps ~max_crashes ~property ~dedup ~run_cap
+    fresh_ctx ~env:s.s_env ~states:(Array.copy s.s_states) ~intern
+      ~dvals:(dvals_reintern intern s.s_done)
+      ~esig:(esig_reintern intern s.s_esig)
+      ~max_steps ~max_crashes ~property ~dedup ~run_cap
   in
   (try
      dfs ctx ~frontier:None ~on_run:(finish ctx) s.s_depth s.s_crashes
@@ -741,19 +794,20 @@ let run_subtree ~dedup ~max_steps ~max_crashes ~run_cap ~property
    completing above the frontier come out as already-resolved leaf
    tasks, frontier nodes as subtree tasks. The frontier depth must not
    depend on [jobs], or different job counts would slice the tree
-   differently; it never does. The walk interns histories in its own
-   table, rooted at the initial state, and drops it on return: a plan
+   differently; it never does. The walk interns in its own table,
+   rooted at the initial state, and drops it on return: a plan
    holds no interning state, only the per-root values each subtree
-   carries. *)
+   carries (whose ids the task re-names, see [run_subtree]). *)
 let explore_tasks ~dedup ~frontier_depth ~max_steps ~max_crashes ~max_runs
     ~property ~make () =
   let env0, progs = make () in
   Env.enable_journal env0;
+  let intern = Visited.Intern.create ~buckets:task_intern_buckets () in
   let ctx =
     fresh_ctx ~env:env0
       ~states:(Array.map (fun p -> Running p) progs)
-      ~dvals:[]
-      ~esig:(esig_of_canonical (Env.canonical env0))
+      ~intern ~dvals:[]
+      ~esig:(esig_of_canonical intern (Env.canonical env0))
       ~max_steps ~max_crashes ~property ~dedup ~run_cap:max_int
   in
   let emitted = ref [] in
@@ -1045,7 +1099,7 @@ type 'a witem = {
   w_env : Env.t;
   w_states : 'a pstate array;
   w_pkey : int array;
-  w_done : (int * 'a) list;
+  w_done : (int * int * 'a) list;
   w_esig : esig;
   w_depth : int;
   w_crashes : int;
@@ -1060,10 +1114,10 @@ type 'a witem = {
    worker drains, and the caller re-runs the plan engine — whose
    result in exactly those cases is the documented semantics. *)
 type 'a cshared = {
-  g_visited : 'a vkey Visited.t option;
-  g_intern : intern;
-      (* names each (history-so-far, next result) pair; a process's
-         whole history is thus one id, rebuilt incrementally per step *)
+  g_visited : int array Visited.t option;
+  g_intern : 'a intern;
+      (* names histories, store entries and decided values for every
+         key of this pass (see [name]) *)
   g_runs : int Atomic.t;
   g_stop : bool Atomic.t;
   g_run_cap : int;
@@ -1075,7 +1129,7 @@ type 'a cshared = {
 
 (* Per-worker tallies, folded after the join. All deterministic in the
    clean (no-abort) case — see the closure argument in DESIGN §14 —
-   except [c_splits] and the visited stats' bloom_fp. *)
+   except [c_splits]. *)
 type cworker = {
   mutable c_runs : int;
   mutable c_truncated : int;
@@ -1115,8 +1169,8 @@ let crun (g : 'a cshared) (acc : cworker) pool ~worker (it : 'a witem) =
   let env = it.w_env in
   let states = it.w_states in
   (* [pkey] mirrors [states] as flat ints (history id / -1 crashed /
-     -2 done), so a visited key's process component is one unboxed
-     array copy. [dvals] carries finished processes' decided values,
+     -2 done), so a visited key's process component is one blit.
+     [dvals] carries finished processes' decided values with their ids,
      sorted by pid. [esig] is the store fingerprint. All three advance
      on descent and restore (an int or pointer store) on backtrack. *)
   let pkey = it.w_pkey in
@@ -1128,14 +1182,7 @@ let crun (g : 'a cshared) (acc : cworker) pool ~worker (it : 'a witem) =
   let sbuf = Buffer.create 64 in
   Buffer.add_string sbuf it.w_sched;
   let ckey depth rev_crashed sleep =
-    {
-      k_depth = depth;
-      k_crashed = rev_crashed;
-      k_procs = Array.copy pkey;
-      k_done = !dvals;
-      k_env = !esig;
-      k_sleep = sleep;
-    }
+    vkey ~depth ~rev_crashed ~pkey ~dvals:!dvals ~es:!esig ~sleep
   in
   let complete ~truncated rev_crashed =
     let outcomes =
@@ -1269,13 +1316,14 @@ let crun (g : 'a cshared) (acc : cworker) pool ~worker (it : 'a witem) =
                         states.(pid) <- Done v;
                         if dedup then begin
                           pkey.(pid) <- -2;
-                          dvals := dvals_add pid v saved_dv
+                          dvals := dvals_add g.g_intern pid v saved_dv
                         end
                     | Prog.Step (op, k) ->
                         let r = Env.apply env ~pid op in
                         if dedup then begin
                           pkey.(pid) <- intern_step g.g_intern saved_pk op r;
-                          esig := esig_step env saved_es fps.(pid) ~pid
+                          esig :=
+                            esig_step g.g_intern env saved_es fps.(pid) ~pid
                         end;
                         states.(pid) <- Running (k r));
                     node (depth + 1) crashes rev_crashed child_sleep None;
@@ -1317,10 +1365,11 @@ let exhaustive ?max_crashes ?max_runs ?metrics ?on_progress ?(jobs = 1)
         ~oversubscribe ~dedup ?frontier_depth ~max_steps ~make ~property ()
   | None ->
   let run_cap = Option.value max_runs ~default:2_000_000 in
+  let intern = Visited.Intern.create () in
   let g =
     {
       g_visited = (if dedup then Some (Visited.create ~buckets:131072 ()) else None);
-      g_intern = Visited.Intern.create ();
+      g_intern = intern;
       g_runs = Atomic.make 0;
       g_stop = Atomic.make false;
       g_run_cap = run_cap;
@@ -1343,7 +1392,7 @@ let exhaustive ?max_crashes ?max_runs ?metrics ?on_progress ?(jobs = 1)
       w_states = Array.map (fun p -> Running p) progs;
       w_pkey = Array.make (Array.length progs) 0;
       w_done = [];
-      w_esig = esig_of_canonical (Env.canonical env0);
+      w_esig = esig_of_canonical intern (Env.canonical env0);
       w_depth = 0;
       w_crashes = 0;
       w_rev_crashed = [];
@@ -1390,8 +1439,6 @@ let exhaustive ?max_crashes ?max_runs ?metrics ?on_progress ?(jobs = 1)
         if Metrics.wall_clock m then begin
           note_by metrics "explore.par.steals" (Par.steals pool);
           note_by metrics "explore.par.splits" (sum (fun a -> a.c_splits));
-          note_by metrics "explore.visited.bloom_fp"
-            (sum (fun a -> a.c_vstats.Visited.bloom_fp));
           Array.iteri
             (fun i a ->
               note_by metrics

@@ -1,159 +1,131 @@
-(* A domain-striped insert-if-absent table: fixed bucket array of
-   immutable chains updated by CAS, fronted by a two-probe bloom filter
-   packed into native ints. See the .mli for the linearizability
-   argument; the load-order comment in [seen_or_add] is the one line the
-   whole construction leans on. *)
+(* A domain-shared insert-if-absent table: one plain array of immutable
+   chains, read without a lock and extended under a per-stripe mutex.
+   See the .mli for the linearizability argument; the re-walk under the
+   lock in [seen_or_add] is the one step the whole construction leans
+   on. *)
 
-type 'k t = {
-  buckets : (int * 'k) list Atomic.t array;
-  mask : int;
-  bloom : int Atomic.t array;  (* 62 usable bits per word *)
-  bloom_mask : int;
-}
+(* One block per entry, immutable once published. *)
+type 'k chain = Nil | Cons of { hash : int; key : 'k; next : 'k chain }
 
-type stats = {
-  mutable hits : int;
-  mutable misses : int;
-  mutable bloom_fp : int;
-}
+(* A stripe guards the buckets whose index is congruent to it modulo
+   the stripe count. [n] counts the entries it has published; it is
+   only touched under [lock]. *)
+type stripe = { lock : Mutex.t; mutable n : int }
 
-let fresh_stats () = { hits = 0; misses = 0; bloom_fp = 0 }
+type 'k t = { buckets : 'k chain array; mask : int; stripes : stripe array }
+
+type stats = { mutable hits : int; mutable misses : int }
+
+let fresh_stats () = { hits = 0; misses = 0 }
 
 let rec pow2 n k = if k >= n then k else pow2 n (k * 2)
 
-let create ?(buckets = 65536) () =
+(* Rounded bucket count, and its stripe count: one stripe per 1024
+   buckets, between 1 and 64 — a plan-engine walk table gets a single
+   mutex, an engine C table one per core on any host this runs on. *)
+let geometry buckets =
   let cap = pow2 (max 16 buckets) 16 in
+  (cap, min 64 (max 1 (cap / 1024)))
+
+let make_stripes n = Array.init n (fun _ -> { lock = Mutex.create (); n = 0 })
+
+let create ?(buckets = 65536) () =
+  let cap, nstripes = geometry buckets in
+  (* [Nil] is an immediate, so this allocates no young block for the
+     major-heap array to point at — creating a table forces no minor
+     collection. *)
   {
-    buckets = Array.init cap (fun _ -> Atomic.make []);
+    buckets = Array.make cap Nil;
     mask = cap - 1;
-    (* A quarter as many words as buckets keeps the filter sparse for
-       chain loads around one key per bucket. *)
-    bloom = Array.init (cap / 4) (fun _ -> Atomic.make 0);
-    bloom_mask = (cap / 4) - 1;
+    stripes = make_stripes nstripes;
   }
 
-(* Two probes derived from the one hash: the raw hash and a
-   golden-ratio remix, each mapping to (word, bit-within-62). *)
-let probe t i =
-  let i = i land max_int in
-  let w = (i lsr 6) land t.bloom_mask in
-  let b = i mod 62 in
-  (w, 1 lsl b)
-
-let remix h = (h * 0x9e3779b9) lxor (h lsr 16)
-
-let bloom_maybe t h =
-  let w1, b1 = probe t h in
-  let w2, b2 = probe t (remix h) in
-  Atomic.get t.bloom.(w1) land b1 <> 0 && Atomic.get t.bloom.(w2) land b2 <> 0
-
-let set_bit t w b =
-  (* No fetch_or in stdlib [Atomic]: CAS-loop the OR in. *)
-  let cell = t.bloom.(w) in
-  let rec go () =
-    let cur = Atomic.get cell in
-    if cur land b = b then ()
-    else if not (Atomic.compare_and_set cell cur (cur lor b)) then go ()
-  in
-  go ()
-
-let bloom_add t h =
-  let w1, b1 = probe t h in
-  let w2, b2 = probe t (remix h) in
-  set_bit t w1 b1;
-  set_bit t w2 b2
+(* Walk [chain] up to (not including) the physically equal [stop]. *)
+let rec mem hash key stop chain =
+  chain != stop
+  &&
+  match chain with
+  | Nil -> false
+  | Cons c -> (c.hash = hash && c.key = key) || mem hash key stop c.next
 
 let seen_or_add t ~hash key stats =
-  let cell = t.buckets.(hash land t.mask) in
-  (* Read the chain head BEFORE the bloom bits: an inserter sets its
-     bits before its CAS publishes, so "bits clear" read after the head
-     proves the key is absent from that head — the fast path needs no
-     walk. The reverse order would race: bits could be set between our
-     two reads by an insert whose CAS we then observe. *)
-  let head = Atomic.get cell in
-  let mem chain = List.exists (fun (h, k) -> h = hash && k = key) chain in
-  let present =
-    if bloom_maybe t hash then begin
-      let p = mem head in
-      if not p then stats.bloom_fp <- stats.bloom_fp + 1;
-      p
-    end
-    else false
-  in
-  if present then begin
+  let b = hash land t.mask in
+  let head = Array.unsafe_get t.buckets b in
+  if mem hash key Nil head then begin
     stats.hits <- stats.hits + 1;
     true
   end
   else begin
-    bloom_add t hash;
-    (* [prev] is always a chain proven not to contain [key] — [head] by
-       the walk (or the bloom proof above), later values by the re-walk
-       after a lost CAS. That re-walk is what makes concurrent double
-       insertion impossible. *)
-    let rec insert prev =
-      if Atomic.compare_and_set cell prev ((hash, key) :: prev) then begin
-        stats.misses <- stats.misses + 1;
-        false
-      end
-      else
-        let cur = Atomic.get cell in
-        if mem cur then begin
-          stats.hits <- stats.hits + 1;
-          true
-        end
-        else insert cur
+    let s = Array.unsafe_get t.stripes (b land (Array.length t.stripes - 1)) in
+    (* Under the lock the bucket is final: every insert into it
+       happened under this same lock. Only the entries published since
+       [head] was read can be new, so the re-walk stops there. *)
+    let found =
+      Mutex.protect s.lock (fun () ->
+          let cur = Array.unsafe_get t.buckets b in
+          mem hash key head cur
+          || begin
+               Array.unsafe_set t.buckets b (Cons { hash; key; next = cur });
+               s.n <- s.n + 1;
+               false
+             end)
     in
-    insert head
+    if found then stats.hits <- stats.hits + 1
+    else stats.misses <- stats.misses + 1;
+    found
   end
 
-let distinct t =
-  Array.fold_left (fun n cell -> n + List.length (Atomic.get cell)) 0 t.buckets
+let distinct t = Array.fold_left (fun n s -> n + s.n) 0 t.stripes
 
-(* A concurrent hash-consing table built on the same bucket-CAS idiom:
-   the first worker to publish a key names it; everyone else adopts
-   that name. Within one table, id equality is exactly key equality —
-   the numeric values depend on scheduling, so they must never be
-   compared across tables or leak into deterministic output. *)
+(* The same table naming its keys: the first caller to publish a key
+   picks its id under the stripe lock, everyone else adopts it. *)
 module Intern = struct
-  type 'k t = {
-    ibuckets : (int * 'k * int) list Atomic.t array;
-    imask : int;
-    inext : int Atomic.t;
-  }
+  type 'k ichain =
+    | INil
+    | ICons of { hash : int; key : 'k; id : int; next : 'k ichain }
+
+  type 'k t = { ibuckets : 'k ichain array; imask : int; istripes : stripe array }
 
   let create ?(buckets = 65536) () =
-    let cap = pow2 (max 16 buckets) 16 in
+    let cap, nstripes = geometry buckets in
     {
-      ibuckets = Array.init cap (fun _ -> Atomic.make []);
+      ibuckets = Array.make cap INil;
       imask = cap - 1;
-      inext = Atomic.make 1 (* 0 is reserved for the caller's root id *);
+      istripes = make_stripes nstripes;
     }
 
-  let find hash key chain =
-    List.find_map
-      (fun (h, k, i) -> if h = hash && k = key then Some i else None)
-      chain
+  let rec find hash key stop chain =
+    if chain == stop then -1
+    else
+      match chain with
+      | INil -> -1
+      | ICons c ->
+          if c.hash = hash && c.key = key then c.id else find hash key stop c.next
 
   let id t ~hash key =
-    let cell = t.ibuckets.(hash land t.imask) in
-    let head = Atomic.get cell in
-    match find hash key head with
-    | Some i -> i
-    | None ->
-        (* Reserve a fresh id, then race to publish it. Losing the CAS
-           to an insert of the same key means adopting the winner's id;
-           the reserved one is simply never used (ids need not be
-           dense). The re-walk after a lost CAS is what makes two live
-           ids for one key impossible. *)
-        let fresh = Atomic.fetch_and_add t.inext 1 in
-        let rec insert prev =
-          if Atomic.compare_and_set cell prev ((hash, key, fresh) :: prev)
-          then fresh
-          else
-            let cur = Atomic.get cell in
-            match find hash key cur with Some i -> i | None -> insert cur
-        in
-        insert head
+    let b = hash land t.imask in
+    let head = Array.unsafe_get t.ibuckets b in
+    let i = find hash key INil head in
+    if i >= 0 then i
+    else begin
+      let nstripes = Array.length t.istripes in
+      let si = b land (nstripes - 1) in
+      let s = Array.unsafe_get t.istripes si in
+      Mutex.protect s.lock (fun () ->
+          let cur = Array.unsafe_get t.ibuckets b in
+          let i = find hash key head cur in
+          if i >= 0 then i
+          else begin
+            (* Stripe-local numbering: [n·stripes + stripe] with
+               [n >= 1] is distinct across stripes, never 0, and needs
+               no shared counter. *)
+            s.n <- s.n + 1;
+            let fresh = (s.n * nstripes) + si in
+            Array.unsafe_set t.ibuckets b
+              (ICons { hash; key; id = fresh; next = cur });
+            fresh
+          end)
+    end
 
-  let count t = Atomic.get t.inext - 1
+  let count t = Array.fold_left (fun n s -> n + s.n) 0 t.istripes
 end

@@ -3,36 +3,39 @@
     One table is shared by every exploring domain, so a state
     fingerprinted by one domain is never re-expanded by a sibling — the
     cross-domain deduplication that makes parallel exploration pay for
-    itself. The structure is a fixed array of lock-free buckets (chains
-    updated by compare-and-set) fronted by a bloom filter, so the common
-    "definitely new" answer skips the bucket walk entirely.
+    itself. The structure is one plain array of immutable bucket chains
+    (made by [Array.make], so creating a table costs one allocation and
+    forces no collection) plus a few mutexes, one per {e stripe} of
+    buckets: one stripe per 1024 buckets, between 1 and 64.
 
     {b Linearizability.} [seen_or_add] behaves as an atomic
     insert-if-absent: for any set of concurrent calls with the same key,
     exactly one returns [false] (the insertion) and every other returns
-    [true]. The proof obligations are local:
+    [true]. The argument is local to one bucket:
 
-    - the bucket head is read {e before} the bloom bits, so under
-      sequentially-consistent atomics "bits clear" implies the key was
-      not in the head just read (an inserter sets its bloom bits before
-      publishing the bucket CAS);
-    - a failed CAS re-reads the chain and re-walks it before retrying,
-      so two racing inserters of the same key can never both link it.
+    - a lookup reads the bucket's chain with a plain load and walks it
+      without a lock. Entries are never removed and chains are
+      immutable, so a key found there really is in the table (the call
+      linearizes at that read); OCaml 5's memory model guarantees a
+      racing reader sees a chain node fully initialised, never a
+      half-built block;
+    - a miss takes the bucket's stripe mutex and re-reads the chain
+      under it. Every insert into the bucket happened under that same
+      mutex, so this read sees them all; the call re-walks the entries
+      published since its first read and, if the key is still absent,
+      publishes a new head with a plain store before unlocking (the
+      call linearizes at that store). Two racing inserters of one key
+      are thus serialised by the mutex, and the second finds the
+      first's entry.
 
-    Memory ordering is OCaml's [Atomic] (sequentially consistent);
-    bucket chains are immutable lists, so readers never observe a
-    half-built node. *)
+    Lookups that hit never write or lock; a miss costs one uncontended
+    mutex round trip in the common case. *)
 
 type 'k t
 
 type stats = {
   mutable hits : int;  (** key was already present *)
   mutable misses : int;  (** key was inserted by this call *)
-  mutable bloom_fp : int;
-      (** bloom said "maybe present" but the exact walk said no — a
-          false positive. Timing-dependent under concurrency (a racing
-          insert can set the bits first), so not part of the
-          determinism contract. *)
 }
 
 val fresh_stats : unit -> stats
@@ -52,9 +55,9 @@ val seen_or_add : 'k t -> hash:int -> 'k -> stats -> bool
     are compared with polymorphic equality after an exact hash match. *)
 
 val distinct : 'k t -> int
-(** Number of distinct keys inserted so far. O(buckets); meant for
-    post-run reporting, not hot paths. Racy while inserts are in
-    flight. *)
+(** Number of distinct keys inserted so far (per-stripe counters,
+    O(stripes)). Racy while inserts are in flight; exact after the
+    inserting domains are joined. *)
 
 (** A concurrent hash-consing (interning) table.
 
@@ -62,14 +65,19 @@ val distinct : 'k t -> int
     publish a key picks its id, every later caller — in any domain —
     gets that same id back. Within one table, id equality is exactly
     key equality, so a chain of keys can be summarised by one integer
-    and compared in O(1). The explorer uses this to collapse per-process
-    operation histories to ids, making visited-key hashing and equality
-    independent of history length.
+    and compared in O(1). The explorer uses this to collapse
+    per-process operation histories, store entries and decided values
+    to ids, making every visited key one flat [int array].
 
-    The numeric id values depend on scheduling (a lost insertion race
-    abandons its reserved id), so ids are process-local names: never
-    compare them across tables, persist them, or let them reach
-    deterministic output — only their {e equalities} are stable. *)
+    The structure and the linearizability argument are {!t}'s: a lookup
+    walks the chain without a lock, a miss re-walks under the stripe
+    mutex and names the key there. Ids are numbered per stripe —
+    [n * stripes + stripe] for the stripe's [n]-th key, [n >= 1] — so
+    they are distinct across stripes, never 0, and need no shared
+    counter. Their numeric values depend on scheduling, so ids are
+    process-local names: never compare them across tables, persist
+    them, or let them reach deterministic output — only their
+    {e equalities} are stable. *)
 module Intern : sig
   type 'k t
 
@@ -78,9 +86,10 @@ module Intern : sig
       is never allocated — callers may use it as a root/empty id. *)
 
   val id : 'k t -> hash:int -> 'k -> int
-  (** Atomic find-or-name. [hash] must be a pure function of [key]. *)
+  (** Atomic find-or-name. [hash] must be a pure function of [key];
+      keys are compared with polymorphic equality after an exact hash
+      match. The result is always positive. *)
 
   val count : 'k t -> int
-  (** Upper bound on ids handed out (exact when no insert race was ever
-      lost). Post-run reporting only. *)
+  (** Number of distinct keys named so far. Post-run reporting only. *)
 end

@@ -151,6 +151,54 @@ let explore_identity name ~max_crashes () =
       check Alcotest.string (label "metrics snapshot") (snd base) (snd got))
     [ 2; 4 ]
 
+(* A clean scope is the one case where the in-process run keeps the
+   work-stealing engine's own result, while --dist always runs the plan
+   engine: their explored and pruned counts differ by design (the
+   engines slice and deduplicate differently), but the verdict — no
+   counterexample — and the budget flag must agree. When the run budget
+   is hit, the in-process run hands over to the plan engine too, and
+   the results are byte-identical again. *)
+let explore_clean_verdict () =
+  let s = scenario "safe_agreement" in
+  let verdict (r : Univ.t Explore.result) =
+    Printf.sprintf "cex=%b exhausted=%b"
+      (r.Explore.counterexample <> None)
+      r.Explore.exhausted_budget
+  in
+  let run_inproc ?max_runs () =
+    let metrics = Metrics.create ~wall_clock:false () in
+    match
+      Experiments.Harness.explore_scenario ~max_crashes:1 ~max_steps:10
+        ?max_runs ~metrics s
+    with
+    | Error m -> Alcotest.fail m
+    | Ok r -> (r, Metrics.snapshot_string metrics)
+  in
+  let run_dist ?max_runs () =
+    let metrics = Metrics.create ~wall_clock:false () in
+    match
+      Experiments.Harness.explore_scenario_dist ~max_crashes:1 ~max_steps:10
+        ?max_runs ~metrics (config ~shard_size:9 ()) s
+    with
+    | Error m -> Alcotest.failf "dist explore failed: %s" m
+    | Ok (Dist.Coordinator.Suspended _, _) ->
+        Alcotest.fail "dist explore suspended unexpectedly"
+    | Ok (Dist.Coordinator.Complete r, _) -> (r, Metrics.snapshot_string metrics)
+  in
+  let (inproc, _), (dist, _) = (run_inproc (), run_dist ()) in
+  check Alcotest.string "clean scope: same verdict and budget flag"
+    "cex=false exhausted=false" (verdict inproc);
+  check Alcotest.string "clean scope: --dist agrees" (verdict inproc)
+    (verdict dist);
+  let (inproc, inproc_m), (dist, dist_m) =
+    (run_inproc ~max_runs:5000 (), run_dist ~max_runs:5000 ())
+  in
+  check Alcotest.string "budget hit: identical result" (explore_repr inproc)
+    (explore_repr dist);
+  check Alcotest.string "budget hit: identical metrics snapshot" inproc_m
+    dist_m;
+  Alcotest.(check bool) "budget hit: flagged" true inproc.Explore.exhausted_budget
+
 (* ------------------------------------------------------------------ *)
 (* crash-tolerance                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -455,6 +503,8 @@ let suite =
           (sweep_identity "x_safe_agreement_first_subset");
         Alcotest.test_case "explore identity (seeded bug 1)" `Quick
           (explore_identity "safe_agreement_no_cancel" ~max_crashes:1);
+        Alcotest.test_case "explore verdict (clean scope)" `Quick
+          explore_clean_verdict;
         Alcotest.test_case "worker SIGKILL changes nothing (sweep)" `Quick
           chaos_identical;
         Alcotest.test_case "worker SIGKILL changes nothing (explore)" `Quick

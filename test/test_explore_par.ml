@@ -190,6 +190,64 @@ let plan_golden () =
     plan_pins
 
 (* ------------------------------------------------------------------ *)
+(* golden pins: engine C against recorded values                        *)
+(* ------------------------------------------------------------------ *)
+
+(* The jobs tests above compare the work-stealing engine with itself,
+   so a visited-key change that altered deduplication or sleep-set
+   decisions would pass them at every job count. These values were
+   recorded from the structured-record keys engine C used before keys
+   became flat interned int arrays; any key change must reproduce them
+   exactly, at jobs 1 and 2. safe_agreement is the deduplication-heavy
+   scope, x_safe_agreement the sleep/source-heavy one — the scopes and
+   depths of the explore-clean benchmark classes. *)
+let engine_c_pins =
+  [
+    ("safe_agreement", 1, 11, (23724, 12257, 29795, 1552, 23715, 44016));
+    ("safe_agreement", 2, 11, (25992, 22290, 33840, 1803, 25827, 49322));
+    ("x_safe_agreement", 1, 13, (15524, 16, 86004, 8, 15524, 45761));
+  ]
+
+let engine_c_golden () =
+  List.iter
+    (fun (name, max_crashes, max_steps, counts) ->
+      let explored, pruned_s, pruned_c, pruned_src, truncated, misses =
+        counts
+      in
+      let s = scenario name in
+      List.iter
+        (fun jobs ->
+          let metrics = Metrics.create ~wall_clock:false () in
+          let r =
+            Explore.exhaustive ~jobs ~oversubscribe:true ~max_crashes
+              ~max_steps ~metrics ~make:s.Experiments.Scenario.make
+              ~property:s.Experiments.Scenario.exhaustive_property ()
+          in
+          let label =
+            Printf.sprintf "%s crashes=%d depth=%d jobs=%d" name max_crashes
+              max_steps jobs
+          in
+          check Alcotest.int (label ^ ": explored") explored r.Explore.explored;
+          check Alcotest.int (label ^ ": pruned states") pruned_s
+            r.Explore.pruned_states;
+          check Alcotest.int (label ^ ": pruned commutes") pruned_c
+            r.Explore.pruned_commutes;
+          check Alcotest.int (label ^ ": pruned source") pruned_src
+            r.Explore.pruned_source;
+          Alcotest.(check bool)
+            (label ^ ": clean, in budget")
+            true
+            (r.Explore.counterexample = None
+            && not r.Explore.exhausted_budget);
+          check Alcotest.string (label ^ ": metrics snapshot")
+            (Printf.sprintf
+               "{\"counters\":{\"explore.pruned_commutes\":%d,\"explore.pruned_source\":%d,\"explore.pruned_states\":%d,\"explore.runs\":%d,\"explore.truncated\":%d,\"explore.visited.hits\":%d,\"explore.visited.misses\":%d},\"gauges\":{},\"histograms\":{}}"
+               pruned_c pruned_src pruned_s explored truncated pruned_s misses)
+            (Metrics.snapshot_string metrics))
+        [ 1; 2 ])
+    engine_c_pins
+
+(* ------------------------------------------------------------------ *)
 (* undo-journal rollback property                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -345,6 +403,85 @@ let intern_linearizable =
            (fun (k, i) -> Visited.Intern.id t ~hash:(Hashtbl.hash k) k = i)
            all)
 
+(* The storms above use 16-bucket tables: one mutex stripe. These run a
+   table with 64 stripes under a hash that sends keys to 128 buckets
+   spread over every stripe, with up to four distinct hashes per bucket
+   and up to three keys per hash, so racing inserts meet in the same
+   chain, in sibling stripes, and on exact hash collisions. *)
+let striped_buckets = 65536
+let striped_hash k = (((k / 128) mod 4) lsl 16) lor (k mod 128)
+let striped_keys = QCheck.(list_of_size Gen.(int_range 1 200) (int_bound 1535))
+
+let storm ~ndom keys f =
+  let n = Array.length keys in
+  let doms =
+    Array.init ndom (fun d ->
+        Domain.spawn (fun () ->
+            Array.init n (fun i ->
+                let k = keys.((i + (d * 7)) mod n) in
+                (k, f d k))))
+  in
+  Array.map Domain.join doms |> Array.to_list |> Array.concat |> Array.to_list
+
+let distinct_count keys = List.length (List.sort_uniq compare (Array.to_list keys))
+
+let visited_striped =
+  QCheck.Test.make ~count:40
+    ~name:"shared visited: exact across 64 stripes under domain storms"
+    striped_keys
+    (fun keys ->
+      let tbl = Visited.create ~buckets:striped_buckets () in
+      let keys = Array.of_list keys in
+      let ndom = 4 in
+      let stats = Array.init ndom (fun _ -> Visited.fresh_stats ()) in
+      let answers =
+        storm ~ndom keys (fun d k ->
+            Visited.seen_or_add tbl ~hash:(striped_hash k) k stats.(d))
+      in
+      let distinct = distinct_count keys in
+      let sum f = Array.fold_left (fun acc s -> acc + f s) 0 stats in
+      List.length (List.filter (fun (_, seen) -> not seen) answers) = distinct
+      && sum (fun s -> s.Visited.misses) = distinct
+      && sum (fun s -> s.Visited.hits) = (ndom * Array.length keys) - distinct
+      && Visited.distinct tbl = distinct
+      && Array.for_all
+           (fun k ->
+             Visited.seen_or_add tbl ~hash:(striped_hash k) k
+               (Visited.fresh_stats ()))
+           keys)
+
+let intern_striped =
+  QCheck.Test.make ~count:40
+    ~name:"intern: ids exact, positive and distinct across 64 stripes"
+    striped_keys
+    (fun keys ->
+      let t = Visited.Intern.create ~buckets:striped_buckets () in
+      let keys = Array.of_list keys in
+      let all =
+        storm ~ndom:4 keys (fun _ k ->
+            Visited.Intern.id t ~hash:(striped_hash k) k)
+      in
+      let by_key = Hashtbl.create 64 and by_id = Hashtbl.create 64 in
+      let consistent =
+        List.for_all
+          (fun (k, i) ->
+            let agrees tbl a b =
+              match Hashtbl.find_opt tbl a with
+              | Some b' -> b' = b
+              | None ->
+                  Hashtbl.add tbl a b;
+                  true
+            in
+            i > 0 && agrees by_key k i && agrees by_id i k)
+          all
+      in
+      consistent
+      && Hashtbl.length by_key = distinct_count keys
+      && Visited.Intern.count t = distinct_count keys
+      && List.for_all
+           (fun (k, i) -> Visited.Intern.id t ~hash:(striped_hash k) k = i)
+           all)
+
 (* ------------------------------------------------------------------ *)
 (* dedup never changes a verdict                                        *)
 (* ------------------------------------------------------------------ *)
@@ -399,12 +536,15 @@ let suite =
         Alcotest.test_case "skewed tree: steal-heavy jobs identical" `Quick
           skewed_steals;
         Alcotest.test_case "plan engine: golden pins" `Quick plan_golden;
+        Alcotest.test_case "engine C: golden pins" `Quick engine_c_golden;
         Alcotest.test_case "canonical hash ignores creation order" `Quick
           prewarm_hash_stable;
         Alcotest.test_case "dedup on/off verdict parity" `Quick
           dedup_verdict_parity;
         QCheck_alcotest.to_alcotest visited_linearizable;
         QCheck_alcotest.to_alcotest intern_linearizable;
+        QCheck_alcotest.to_alcotest visited_striped;
+        QCheck_alcotest.to_alcotest intern_striped;
         QCheck_alcotest.to_alcotest undo_log_roundtrip;
       ] );
   ]
