@@ -31,7 +31,6 @@
 #   make bench-gate    — re-time the EX explorer, DIST coordinator, NET
 #                        service and SOAK runner families, fail if any row
 #                        regressed >1.5x against the committed BENCH_svm.json
-#                        or the EXd15/EXp415 par_speedup_ratio fell below 2x
 
 BUILD_TIMEOUT ?= 120
 TEST_TIMEOUT ?= 150
@@ -81,7 +80,9 @@ smoke-trace: build
 # chaos-SIGKILLed mid-shard — must print the same stdout and write a
 # byte-identical replay artifact; the grep proves the kill really fired
 # (all [dist] chatter goes to stderr, which is why stdout diffs clean).
-# Then the same identity for the exhaustive explorer.
+# Then the same identity for the exhaustive explorer — a seeded bug and
+# a clean scope, whose job one worker runs whole: stdout and the
+# --metrics-out snapshot match the in-process run byte for byte.
 smoke-dist: build
 	timeout $(SMOKE_TIMEOUT) $(ASMSIM) sweep --algo safe_agreement_no_cancel \
 	  --expect-violation --out _build/dist.replay > _build/dist-a.out
@@ -97,13 +98,21 @@ smoke-dist: build
 	timeout $(SMOKE_TIMEOUT) $(ASMSIM) explore --algo safe_agreement_no_cancel \
 	  --crashes 1 --expect-violation --dist 2 --shard-size 7 > _build/dist-d.out
 	diff _build/dist-c.out _build/dist-d.out
+	timeout $(SMOKE_TIMEOUT) $(ASMSIM) explore --algo safe_agreement --crashes 1 \
+	  --metrics-out _build/dist-e.metrics.json > _build/dist-e.out
+	timeout $(SMOKE_TIMEOUT) $(ASMSIM) explore --algo safe_agreement --crashes 1 \
+	  --dist 2 --metrics-out _build/dist-f.metrics.json > _build/dist-f.out
+	diff _build/dist-e.out _build/dist-f.out
+	diff _build/dist-e.metrics.json _build/dist-f.metrics.json
 
 # The network service end to end, through the real CLI: the same
 # seeded-bug sweep run in-process and over loopback TCP — a serve
 # daemon and two remote workers, each sabotaging its own writes with a
 # different --chaos-net fault — must print the same stdout and write a
-# byte-identical replay artifact. The greps prove the chaos really
-# fired, and `wait` proves SIGTERM drained the server to exit 0.
+# byte-identical replay artifact; a clean explore submitted to the same
+# daemon must print the in-process stdout and --metrics-out snapshot.
+# The greps prove the chaos really fired, and `wait` proves SIGTERM
+# drained the server to exit 0.
 smoke-net: build
 	rm -rf _build/netsmoke && mkdir -p _build/netsmoke
 	set -e; \
@@ -126,9 +135,16 @@ smoke-net: build
 	timeout $(SMOKE_TIMEOUT) $$BIN sweep --algo safe_agreement_no_cancel \
 	  --expect-violation --connect 127.0.0.1:$$PORT \
 	  --out $$D/net.replay > $$D/b.out 2> $$D/b.err; \
+	timeout $(SMOKE_TIMEOUT) $$BIN explore --algo safe_agreement --crashes 1 \
+	  --metrics-out $$D/ex-a.metrics.json > $$D/ex-a.out; \
+	timeout $(SMOKE_TIMEOUT) $$BIN explore --algo safe_agreement --crashes 1 \
+	  --connect 127.0.0.1:$$PORT --metrics-out $$D/ex-b.metrics.json \
+	  > $$D/ex-b.out 2> $$D/ex-b.err; \
 	kill -TERM $$SRV; wait $$SRV; \
 	diff $$D/a.out $$D/b.out; \
 	diff $$D/a.replay $$D/net.replay; \
+	diff $$D/ex-a.out $$D/ex-b.out; \
+	diff $$D/ex-a.metrics.json $$D/ex-b.metrics.json; \
 	grep -l chaos $$D/w1.err $$D/w2.err > /dev/null; \
 	grep -q draining $$D/srv.err; \
 	grep -q net_shards_executed_total $$D/srv.metrics.json
@@ -333,12 +349,12 @@ ci: check
 	$(MAKE) perfbench-smoke
 
 # The parallel explorer must be bit-for-bit deterministic in the job
-# count, through the real CLI — both engines:
-#   1. the seeded bug (counterexample => the plan-engine fallback
-#      defines the verdict): stdout at jobs=8 must diff clean against
-#      jobs=1;
-#   2. two clean scopes (the work-stealing engine's own result is
-#      kept): stdout AND the merged deterministic metrics snapshot
+# count, through the real CLI:
+#   1. the seeded bug and a hit run budget (a stopped jobs=8 pass is
+#      redone serially, whose DFS defines the counterexample and the
+#      --runs cut): stdout at jobs=8 must diff clean against jobs=1;
+#   2. two clean scopes (the parallel pass's own result is kept):
+#      stdout AND the merged deterministic metrics snapshot
 #      (--metrics-out) must diff clean between jobs=1 and jobs=8 —
 #      safe_agreement (deduplication-heavy) and x_safe_agreement with
 #      one crash at depth 13 (sleep/source-heavy: 16 pruned states and
@@ -350,6 +366,12 @@ explore-determinism: build
 	timeout $(SMOKE_TIMEOUT) $(ASMSIM) explore --algo safe_agreement_no_cancel \
 	  --expect-violation --jobs 8 > _build/exdet/bug-j8.out
 	diff _build/exdet/bug-j1.out _build/exdet/bug-j8.out
+	timeout $(SMOKE_TIMEOUT) $(ASMSIM) explore --algo safe_agreement \
+	  --crashes 2 --runs 5000 --jobs 1 > _build/exdet/runs-j1.out
+	timeout $(SMOKE_TIMEOUT) $(ASMSIM) explore --algo safe_agreement \
+	  --crashes 2 --runs 5000 --jobs 8 > _build/exdet/runs-j8.out
+	diff _build/exdet/runs-j1.out _build/exdet/runs-j8.out
+	grep -q '^explored 5000 run(s),' _build/exdet/runs-j1.out
 	timeout $(SMOKE_TIMEOUT) $(ASMSIM) explore --algo safe_agreement --jobs 1 \
 	  --metrics-out _build/exdet/clean-j1.metrics.json \
 	  > _build/exdet/clean-j1.out

@@ -171,15 +171,10 @@ let bench_mlset () =
 (* The EX family: one explorer workload (safe agreement, 3 procs, one
    crash allowed) timed under each engine configuration, so the
    committed JSON records where the exploration time goes —
-   copy-per-branch baseline, undo journal alone, the static-plan
-   engine, and the work-stealing engine at 1 and 4 jobs — all at depth
-   12.  [explore_speedup_ratio] (EX / EXp4) is what the engine rebuild
-   buys over copy-per-branch.  Two extra rows re-time the plan engine
-   and the work-stealing engine at depth 15, where the plan engine's
-   per-arrival cost (full-history hashing) has grown three levels
-   further while the work-stealing engine's stays O(1) per step:
-   [par_speedup_ratio] (EXd15 / EXp415) is the number the bench gate
-   holds above 2.0. *)
+   copy-per-branch baseline, undo journal alone, and the work-stealing
+   engine at 1 and 4 jobs — all at depth 12, plus the work-stealing
+   engine at depth 15.  [explore_speedup_ratio] (EX / EXp4) is what the
+   engine rebuild buys over copy-per-branch. *)
 
 let explore_depth = 12
 let explore_depth_deep = 15
@@ -206,25 +201,12 @@ let bench_explore_copy () =
 let bench_explore_journal () =
   ignore
     (Explore.exhaustive ~max_crashes:explore_crashes ~dedup:false
-       ~frontier_depth:explore_depth ~max_steps:explore_depth
-       ~make:explore_make ~property:explore_ok ())
-
-let bench_explore_dedup () =
-  ignore
-    (Explore.exhaustive ~max_crashes:explore_crashes
-       ~frontier_depth:explore_depth ~max_steps:explore_depth
-       ~make:explore_make ~property:explore_ok ())
+       ~max_steps:explore_depth ~make:explore_make ~property:explore_ok ())
 
 let bench_explore_par jobs () =
   ignore
     (Explore.exhaustive ~max_crashes:explore_crashes ~jobs
        ~max_steps:explore_depth ~make:explore_make ~property:explore_ok ())
-
-let bench_explore_plan_deep () =
-  ignore
-    (Explore.exhaustive_plan ~max_crashes:explore_crashes
-       ~frontier_depth:explore_depth_deep ~max_steps:explore_depth_deep
-       ~make:explore_make ~property:explore_ok ())
 
 let bench_explore_par_deep jobs () =
   ignore
@@ -234,20 +216,16 @@ let bench_explore_par_deep jobs () =
 
 let ex_name = "EX: explorer baseline, copy-per-branch, sa(3) depth 12"
 let exu_name = "EXu: explorer, undo journal, no dedup"
-let exd_name = "EXd: plan engine, journal + fingerprint dedup"
 let exp1_name = "EXp1: shared visited + work stealing, jobs=1"
 let exp4_name = "EXp4: shared visited + work stealing, jobs=4"
-let exd15_name = "EXd15: plan engine, sa(3) depth 15"
 let exp415_name = "EXp415: shared visited + stealing, jobs=4, depth 15"
 
 let explore_family =
   [
     (ex_name, bench_explore_copy);
     (exu_name, bench_explore_journal);
-    (exd_name, bench_explore_dedup);
     (exp1_name, bench_explore_par 1);
     (exp4_name, bench_explore_par 4);
-    (exd15_name, bench_explore_plan_deep);
     (exp415_name, bench_explore_par_deep 4);
   ]
 
@@ -750,13 +728,6 @@ let emit_json estimates =
     | Some base, Some par when par > 0. -> Some (base /. par)
     | _ -> None
   in
-  (* EXd15 / EXp415: the work-stealing engine against the plan engine
-     on the deep workload — the gated parallel-exploration payoff. *)
-  let par_ratio =
-    match (find exd15_name, find exp415_name) with
-    | Some plan, Some par when par > 0. -> Some (plan /. par)
-    | _ -> None
-  in
   (* DIST1 / SW0: the full process-coordination tax — fork, handshake,
      frame, merge — with one worker, so nothing amortizes it. *)
   let dist_ratio =
@@ -811,11 +782,6 @@ let emit_json estimates =
       Buffer.add_string b
         (Printf.sprintf "  \"explore_speedup_ratio\": %.3f,\n" r)
   | None -> Buffer.add_string b "  \"explore_speedup_ratio\": null,\n");
-  (match par_ratio with
-  | Some r ->
-      Buffer.add_string b
-        (Printf.sprintf "  \"par_speedup_ratio\": %.3f,\n" r)
-  | None -> Buffer.add_string b "  \"par_speedup_ratio\": null,\n");
   (match dist_ratio with
   | Some r ->
       Buffer.add_string b
@@ -868,14 +834,13 @@ let emit_json estimates =
   Buffer.add_string hist
     (Printf.sprintf
        "{\"date\": \"%s\", \"sweep_overhead\": %s, \"explore_speedup\": %s, \
-        \"par_speedup\": %s, \"dist_overhead\": %s, \"net_overhead\": %s, \
-        \"obs_overhead\": %s}\n"
+        \"dist_overhead\": %s, \"net_overhead\": %s, \"obs_overhead\": %s}\n"
        (let t = Unix.gmtime (Unix.gettimeofday ()) in
         Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (t.Unix.tm_year + 1900)
           (t.Unix.tm_mon + 1) t.Unix.tm_mday t.Unix.tm_hour t.Unix.tm_min
           t.Unix.tm_sec)
-       (num ratio) (num explore_ratio) (num par_ratio) (num dist_ratio)
-       (num net_ratio) (num obs_ratio));
+       (num ratio) (num explore_ratio) (num dist_ratio) (num net_ratio)
+       (num obs_ratio));
   let oc =
     open_out_gen [ Open_append; Open_creat ] 0o644 "BENCH_history.jsonl"
   in
@@ -889,9 +854,6 @@ let emit_json estimates =
   | None -> ());
   (match explore_ratio with
   | Some r -> Printf.printf "explore speedup ratio: %.2fx\n" r
-  | None -> ());
-  (match par_ratio with
-  | Some r -> Printf.printf "par speedup ratio: %.2fx\n" r
   | None -> ());
   (match dist_ratio with
   | Some r -> Printf.printf "dist overhead ratio: %.2fx\n" r
@@ -925,11 +887,6 @@ let emit_json estimates =
    for, and the only rows slow enough for timing to be trustworthy. *)
 
 let gate_slack = 1.5
-
-(* Floor on the re-measured EXd15 / EXp415 ratio: the work-stealing
-   engine must keep beating the plan engine by at least this much on
-   the deep workload, whatever this machine's absolute speed. *)
-let par_speedup_bar = 2.0
 
 (* Ceiling on the re-measured SDL1 / SDL0 ratio: compiling a scenario
    from source must stay negligible next to the sweep it feeds. *)
@@ -1002,28 +959,15 @@ let gate_against file =
             (ns /. 1e6) (committed /. 1e6) r
             (if ok then "ok" else "REGRESSED"))
     committed;
-  (* The parallel-exploration payoff is gated as a live ratio of two
-     rows from the same measurement pass (so machine speed cancels),
-     not against the committed file. *)
+  (* The DSL frontend tax is gated as a live ratio of two rows from the
+     same measurement pass (so machine speed cancels), not against the
+     committed file. *)
   let measured_ns name =
     List.find_map
       (fun (n, est) ->
         if String.ends_with ~suffix:name n then Some est else None)
       measured
   in
-  (match (measured_ns exd15_name, measured_ns exp415_name) with
-  | Some plan, Some par when par > 0. ->
-      let r = plan /. par in
-      let ok = r >= par_speedup_bar in
-      if not ok then failed := true;
-      Printf.printf "%-56s %9.1f ms vs %9.1f ms  %.2fx  %s\n"
-        "par_speedup_ratio (EXd15 / EXp415, bar 2.00x)" (plan /. 1e6)
-        (par /. 1e6) r
-        (if ok then "ok" else "BELOW BAR")
-  | _ ->
-      failed := true;
-      Printf.eprintf "bench gate: cannot compute par_speedup_ratio\n");
-  (* The DSL frontend tax is likewise a live same-pass ratio. *)
   (match (measured_ns sdl0_name, measured_ns sdl1_name) with
   | Some base, Some sdl when base > 0. ->
       let r = sdl /. base in
@@ -1039,16 +983,15 @@ let gate_against file =
   if !failed then begin
     Printf.eprintf
       "bench gate: EX/DIST/NET/OBS/SOAK/SDL families regressed beyond %.1fx, \
-       par_speedup_ratio fell below %.1fx, or sdl_compile_overhead_ratio \
-       rose above %.2fx\n"
-      gate_slack par_speedup_bar sdl_compile_bar;
+       or sdl_compile_overhead_ratio rose above %.2fx\n"
+      gate_slack sdl_compile_bar;
     exit 1
   end
   else
     Printf.printf
       "bench gate: EX/DIST/NET/OBS/SOAK/SDL families within %.1fx of %s, \
-       par_speedup_ratio >= %.1fx, sdl_compile_overhead_ratio <= %.2fx\n"
-      gate_slack file par_speedup_bar sdl_compile_bar
+       sdl_compile_overhead_ratio <= %.2fx\n"
+      gate_slack file sdl_compile_bar
 
 let () =
   let gate = ref None in

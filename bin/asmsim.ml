@@ -792,16 +792,20 @@ let explore_cmd =
   let runs =
     Arg.(
       value & opt int 2_000_000
-      & info [ "runs" ] ~docv:"R" ~doc:"Maximum runs before giving up.")
+      & info [ "runs" ] ~docv:"R"
+          ~doc:
+            "Stop after exactly R runs, in the serial depth-first order \
+             (coverage is then partial).")
   in
   let jobs =
     Arg.(
       value & opt int 1
       & info [ "jobs" ] ~docv:"J"
           ~doc:
-            "Fan subtree tasks out over J domains (capped at the core \
-             count); 0 means one per core. Results are identical at any \
-             job count.")
+            "Explore on J domains that steal subtrees from each other \
+             (capped at the core count); 0 means one per core. Results \
+             are identical at any job count: the serial depth-first \
+             order defines the counterexample and the --runs cut.")
   in
   let metrics_out =
     Arg.(
@@ -811,8 +815,8 @@ let explore_cmd =
           ~doc:
             "Write a JSON snapshot of the explorer's deterministic \
              counters (runs, pruning tallies, visited hits/misses) to \
-             FILE — byte-identical at any --jobs value (in-process runs \
-             only).")
+             FILE — byte-identical at any --jobs value, in-process, \
+             --dist or --connect.")
   in
   let no_dedup =
     Arg.(
@@ -859,6 +863,7 @@ let explore_cmd =
           if runs mod 100_000 = 0 then
             Format.eprintf "... %d runs explored@." runs
         in
+        let metrics = Option.map (fun _ -> Svm.Metrics.create ()) metrics_out in
         let result =
           if dist > 0 then begin
             if not s.Experiments.Scenario.explorable then begin
@@ -872,8 +877,8 @@ let explore_cmd =
             in
             match
               Experiments.Harness.explore_scenario_dist ~max_crashes:crashes
-                ~max_runs:runs ~max_steps:depth ~dedup:(not no_dedup)
-                ~on_progress config s
+                ~max_runs:runs ~max_steps:depth ~dedup:(not no_dedup) ?metrics
+                config s
             with
             | Error m ->
                 Format.eprintf "explore --dist failed: %s@." m;
@@ -900,7 +905,7 @@ let explore_cmd =
                     ~max_runs:runs ~max_steps:depth ~dedup:(not no_dedup) s
                 in
                 match
-                  Experiments.Harness.submit_job_net ?resume
+                  Experiments.Harness.submit_job_net ?metrics ?resume
                     (client_config ~log
                        ?spans:(make_spans ~role:"client" spans)
                        ())
@@ -924,27 +929,21 @@ let explore_cmd =
                     exit 3
               end
             | None ->
-                let metrics =
-                  Option.map (fun _ -> Svm.Metrics.create ()) metrics_out
-                in
-                let r =
-                  Experiments.Harness.explore_scenario ~max_crashes:crashes
-                    ~max_runs:runs ~max_steps:depth ~jobs ?metrics
-                    ~dedup:(not no_dedup) ~on_progress s
-                in
-                (match (r, metrics, metrics_out) with
-                | Ok _, Some m, Some file ->
-                    let oc = open_out file in
-                    output_string oc (Svm.Metrics.snapshot_string ~pretty:true m);
-                    close_out oc
-                | _ -> ());
-                r
+                Experiments.Harness.explore_scenario ~max_crashes:crashes
+                  ~max_runs:runs ~max_steps:depth ~jobs ?metrics
+                  ~dedup:(not no_dedup) ~on_progress s
         in
         (match result with
         | Error m ->
             prerr_endline m;
             exit 2
         | Ok r ->
+            (match (metrics, metrics_out) with
+            | Some m, Some file ->
+                let oc = open_out file in
+                output_string oc (Svm.Metrics.snapshot_string ~pretty:true m);
+                close_out oc
+            | _ -> ());
             let violated = print_explore_result r in
             if violated <> expect_violation then exit 1)
   in

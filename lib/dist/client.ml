@@ -136,12 +136,12 @@ let worker_recv cfg fd =
       | Error m -> raise (Link ("undecodable server frame: " ^ m)))
   | Error e -> raise (frame_error e)
 
-(* Expanded instances a connection keeps. Constant: a long-lived worker
-   may open any number of jobs, and an expanded plan is large (an
-   explore plan holds a store copy per frontier task), so only the
-   small [Proto.job] is kept per job id. A miss re-expands the job —
-   [lookup] builds the same plan from the same job — so an eviction
-   costs time, never a different byte. *)
+(* Expanded sweep plans a connection keeps. Constant: a long-lived
+   worker may open any number of jobs, so only the small [Proto.job] is
+   kept per job id. A miss re-expands the job — [lookup] builds the
+   same plan from the same job — so an eviction costs time, never a
+   different byte. An explore instance is only its parameters and two
+   closures, built afresh for each assignment. *)
 let worker_instance_cache = 4
 
 let worker_session cfg ~lookup fd =
@@ -149,13 +149,15 @@ let worker_session cfg ~lookup fd =
   let jobs : (string, Proto.job * string * int) Hashtbl.t =
     Hashtbl.create 4
   in
-  (* (jid, instance), most recently used first *)
+  (* (jid, sweep instance), most recently used first *)
   let cache = ref [] in
-  let remember jid inst =
-    cache :=
-      List.filteri
-        (fun i _ -> i < worker_instance_cache)
-        ((jid, inst) :: List.remove_assoc jid !cache)
+  let remember jid = function
+    | Worker.Explore_instance _ -> ()
+    | Worker.Sweep_instance _ as inst ->
+        cache :=
+          List.filteri
+            (fun i _ -> i < worker_instance_cache)
+            ((jid, inst) :: List.remove_assoc jid !cache)
   in
   let instance jid job =
     match List.assoc_opt jid !cache with
@@ -164,6 +166,7 @@ let worker_session cfg ~lookup fd =
         inst
     | None -> (
         match lookup job with
+        | Ok (Worker.Explore_instance _ as inst) -> inst
         | Ok inst ->
             debugf cfg "re-expanded evicted job %s" jid;
             Metrics.bump cfg.metrics "worker_jobs_reexpanded_total";
@@ -366,19 +369,19 @@ let submit ?metrics ?resume cfg ~instance ~job addr =
     | `Drain, Some id -> Ok (Suspended id, stats id)
     | `Drain, None -> Error "server is draining"
     | `Done _, None -> Error "finished without a job id"
-    | `Done _, Some id ->
-        let outcome =
-          match instance with
-          | Worker.Sweep_instance p ->
-              Sweep_outcome
-                (Merge.sweep ?metrics p ~shard_size:!shard_size
-                   ~payloads:!payloads)
-          | Worker.Explore_instance p ->
-              Explore_outcome
-                (Merge.explore ?metrics p ~shard_size:!shard_size
-                   ~payloads:!payloads)
-        in
-        Ok (Finished outcome, stats id)
+    | `Done _, Some id -> (
+        match instance with
+        | Worker.Sweep_instance p ->
+            Ok
+              ( Finished
+                  (Sweep_outcome
+                     (Merge.sweep ?metrics p ~shard_size:!shard_size
+                        ~payloads:!payloads)),
+                stats id )
+        | Worker.Explore_instance e ->
+            Result.map
+              (fun r -> (Finished (Explore_outcome r), stats id))
+              (Merge.explore ?metrics e ~payloads:!payloads))
   in
   match connect_loop cfg ~role:Proto.Client_role addr session with
   | Ok _ -> Error "server shut the session down before the job finished"

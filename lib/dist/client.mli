@@ -47,8 +47,12 @@ val worker_loop :
     One connection serves many jobs: the server announces each job once
     ([Nw_job]), the worker expands it with [lookup] and keeps the job
     for later assignments — with only the few most recently used
-    expanded plans cached, re-expanding (deterministically) on a miss,
-    so a long-lived worker's memory does not grow with every job. All writes pass through the chaos harness
+    expanded sweep plans cached, re-expanding (deterministically) on a
+    miss, so a long-lived worker's memory does not grow with every job;
+    an explore job is one cell, rebuilt from its job on assignment. An
+    explore in progress sends [Nf_progress] every few tenths of a
+    second (re-arming its shard deadline) and answers pings and
+    shutdown between runs. All writes pass through the chaos harness
     when configured. *)
 
 (** {1 Submitting client} *)

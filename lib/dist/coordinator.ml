@@ -178,7 +178,13 @@ let handle_msg e w msg =
   | Proto.Hello_err m ->
       raise (Fatal (Printf.sprintf "worker %d rejected the job: %s" w.w_id m))
   | Proto.Pong -> w.w_pinged <- false
-  | Proto.Progress _ -> ()
+  | Proto.Progress { shard; _ } -> (
+      (* A shard that is making progress is not stuck: re-arm its
+         deadline, so only silence past [shard_timeout] kills. *)
+      match w.w_state with
+      | Busy { shard = s; _ } when s = shard ->
+          w.w_state <- Busy { shard; deadline = now () +. e.cfg.shard_timeout }
+      | _ -> ())
   | Proto.Result { shard; payload } ->
       if shard < 0 || shard >= Array.length e.shards then
         kill_worker e w ~reason:"result for an unknown shard"
@@ -563,14 +569,11 @@ let sweep ?metrics ?on_progress cfg ~job ~plan () =
       in
       Ok (Complete outcome, stats)
 
-let explore ?metrics ?on_progress cfg ~job ~plan () =
-  let units = Svm.Explore.plan_tasks plan in
-  match execute cfg ~job ~units ~check:Proto.check_explore_payload with
+let explore ?metrics cfg ~job ~explore () =
+  match execute cfg ~job ~units:1 ~check:Proto.check_explore_payload with
   | Error m -> Error m
   | Ok (`Suspended id, _, stats) -> Ok (Suspended id, stats)
   | Ok (`Complete, payloads, stats) ->
-      let result =
-        Merge.explore ?metrics ?on_progress plan ~shard_size:stats.shard_size
-          ~payloads
-      in
-      Ok (Complete result, stats)
+      Result.map
+        (fun result -> (Complete result, stats))
+        (Merge.explore ?metrics explore ~payloads)

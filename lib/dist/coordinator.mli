@@ -4,18 +4,20 @@
     The coordinator re-execs the worker binary [config.exe] with the
     single argument [work], wiring one socketpair end to the child's
     stdin and stdout, and drives all workers from a single
-    [Unix.select] loop. Work is dealt as shards — contiguous index
-    ranges of the shared {!Svm.Explore} plan — and results are merged
-    strictly in index order by the {e same} merge functions the
-    in-process paths use ({!Svm.Explore.sweep_merge},
-    {!Svm.Explore.merge_plan}), which is why the outcome is bit-for-bit
-    identical to a [--jobs] run no matter how chaotically workers die.
+    [Unix.select] loop. A sweep is dealt as shards — contiguous index
+    ranges of the shared {!Svm.Explore.sweep_plan} — and results are
+    merged strictly in index order by the {e same} merge function the
+    in-process path uses ({!Svm.Explore.sweep_merge}). An explore is one
+    cell that one worker runs whole, with the in-process engine at one
+    domain. Either way the outcome is bit-for-bit identical to a
+    [--jobs] run no matter how chaotically workers die.
 
     Failure handling, in escalating order:
     - a worker silent past half the heartbeat timeout is pinged; past
       the full timeout it is SIGKILLed;
-    - a shard unfinished past [shard_timeout] gets its worker
-      SIGKILLed;
+    - a shard whose worker sends no [Progress] for [shard_timeout]
+      gets its worker SIGKILLed (each heartbeat re-arms the deadline,
+      so a long explore that keeps running is never shot);
     - a dead worker's shard goes back in the queue with exponential
       backoff, and a replacement worker is forked;
     - a shard that has killed [max_retries + 1] workers is declared
@@ -30,7 +32,8 @@
 type config = {
   workers : int;  (** worker processes to keep alive *)
   shard_size : int option;  (** cells per shard; [None] = derived *)
-  shard_timeout : float;  (** seconds before a shard's worker is shot *)
+  shard_timeout : float;
+      (** seconds without progress before a shard's worker is shot *)
   heartbeat_timeout : float;  (** seconds of silence before death *)
   max_retries : int;  (** failed attempts tolerated per shard *)
   backoff : float;  (** base reassignment delay, doubled per failure *)
@@ -87,12 +90,12 @@ val sweep :
 
 val explore :
   ?metrics:Svm.Metrics.t ->
-  ?on_progress:(runs:int -> unit) ->
   config ->
   job:Proto.job ->
-  plan:Svm.Univ.t Svm.Explore.plan ->
+  explore:Worker.explore ->
   unit ->
   (Svm.Univ.t Svm.Explore.result outcome * stats, string) result
-(** Distribute the exploration's frontier tasks; summaries merge
-    through {!Svm.Explore.merge_plan}, which re-runs the one
-    counterexample task locally to recover the full run record. *)
+(** Run the exploration as one cell on one worker; its summary folds
+    back through {!Merge.explore}, which rebuilds the counterexample's
+    run record from its schedule. A SIGKILLed worker's cell re-runs
+    from scratch on a replacement, with the same result. *)

@@ -35,6 +35,11 @@ let fsync_dir path =
 
 let journal_file ~dir id = Filename.concat (Filename.concat dir id) "journal.jsonl"
 
+(* v2: an explore job is one cell whose payload is one explore summary.
+   A v1 explore journal holds plan-engine task summaries, which nothing
+   can merge any more; v1 sweep journals are unchanged. *)
+let version = 2
+
 let write_line t v =
   output_string t.j_oc (Json.to_string v);
   output_char t.j_oc '\n';
@@ -52,7 +57,7 @@ let create ?(dir = default_dir) ?(fsync = false) ~job ~cells ~shard_size () =
   write_line t
     (Json.Obj
        [
-         ("v", Json.Int 1);
+         ("v", Json.Int version);
          ("job", Proto.job_to_json job);
          ("cells", Json.Int cells);
          ("shard_size", Json.Int shard_size);
@@ -149,6 +154,15 @@ let load ?(dir = default_dir) j_id =
                     Error
                       (Printf.sprintf "journal of job %s: bad job record: %s"
                          j_id m)
+                | Ok { mode = Proto.Explore _; _ }
+                  when Option.value (int_field "v") ~default:1 < version ->
+                    Error
+                      (Printf.sprintf
+                         "journal of job %s records an explore split into \
+                          plan-engine tasks (journal v%d); it cannot be \
+                          resumed — submit the job afresh"
+                         j_id
+                         (Option.value (int_field "v") ~default:1))
                 | Ok l_job ->
                     (* Body lines append-only; stop at the first corrupt
                        line — it can only be the interrupted last write. *)

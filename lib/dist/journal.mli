@@ -58,7 +58,10 @@ type loaded = {
 val load : ?dir:string -> string -> (loaded, string) result
 (** Parse a journal. Corrupt trailing data (an interrupted final write,
     whether torn mid-line or newline-terminated garbage) is ignored; a
-    corrupt header or missing file is an [Error]. *)
+    corrupt header or missing file is an [Error], and so is an explore
+    journal written before explores ran as one cell (header [v] below
+    2): its payloads are plan-engine task summaries that no merge
+    reads, so it is refused rather than resumed. *)
 
 val list_ids : ?dir:string -> unit -> string list
 (** Job ids present under [dir], sorted. *)

@@ -1,13 +1,19 @@
-(** Fold per-shard wire payloads back into final outcomes through the
-    exact in-process merge path ({!Svm.Explore.sweep_merge} /
-    {!Svm.Explore.merge_plan}).
+(** Fold wire payloads back into final outcomes.
 
     Shared by every executor — the fork coordinator, the TCP client —
     so that outcomes are byte-identical to a single-process run no
-    matter which transport carried the shards. [payloads.(shard)] is
-    the validated payload for that shard, or [None] if it never
-    arrived (e.g. past a sweep's finding cut): missing or partial
-    cells recompute locally, which is deterministic either way. *)
+    matter which transport carried the shards.
+
+    A sweep folds per-shard payloads through the exact in-process merge
+    ({!Svm.Explore.sweep_merge}): [payloads.(shard)] is the validated
+    payload for that shard, or [None] if it never arrived (e.g. past a
+    sweep's finding cut); missing or partial cells recompute locally,
+    which is deterministic either way.
+
+    An explore is one cell run whole by one worker at one domain, so
+    its payload already {e is} the in-process result: only the
+    counterexample's run record is rebuilt, by executing its schedule
+    once ({!Svm.Explore.run_of_schedule}). *)
 
 val sweep :
   ?metrics:Svm.Metrics.t ->
@@ -19,8 +25,10 @@ val sweep :
 
 val explore :
   ?metrics:Svm.Metrics.t ->
-  ?on_progress:(runs:int -> unit) ->
-  'a Svm.Explore.plan ->
-  shard_size:int ->
+  Worker.explore ->
   payloads:Svm.Json.t option array ->
-  'a Svm.Explore.result
+  (Svm.Univ.t Svm.Explore.result, string) result
+(** [payloads] holds the job's one shard. The worker's deterministic
+    counters are folded into [metrics]. [Error] when the payload is
+    missing or undecodable, or its counterexample does not replay to
+    the reported run and rejection. *)

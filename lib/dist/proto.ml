@@ -249,45 +249,105 @@ let tag_of_verdict = function
 
 let verdict_tag_ok = function 'C' | 'D' | 'V' -> true | _ -> false
 
-let bool_int b = Json.Int (if b then 1 else 0)
+type explore_cex = {
+  cx_message : string;
+  cx_schedule : string;
+  cx_crashed : int list;
+  cx_truncated : bool;
+}
 
-let summary_to_json (s : Svm.Explore.task_summary) =
-  Json.List
+type explore_summary = {
+  xs_explored : int;
+  xs_truncated : int;
+  xs_pruned_states : int;
+  xs_pruned_commutes : int;
+  xs_pruned_source : int;
+  xs_exhausted : bool;
+  xs_cex : explore_cex option;
+  xs_metrics : Svm.Metrics.t;
+}
+
+let explore_summary_to_json s =
+  Json.Obj
     [
-      bool_int s.Svm.Explore.ts_leaf;
-      Json.Int s.Svm.Explore.ts_runs;
-      Json.Int s.Svm.Explore.ts_truncated;
-      bool_int s.Svm.Explore.ts_cex;
-      Json.Int s.Svm.Explore.ts_pruned_states;
-      Json.Int s.Svm.Explore.ts_pruned_commutes;
-      bool_int s.Svm.Explore.ts_exhausted;
+      ("explored", Json.Int s.xs_explored);
+      ("truncated", Json.Int s.xs_truncated);
+      ( "pruned",
+        Json.List
+          [
+            Json.Int s.xs_pruned_states;
+            Json.Int s.xs_pruned_commutes;
+            Json.Int s.xs_pruned_source;
+          ] );
+      ("exhausted", Json.Bool s.xs_exhausted);
+      ( "cex",
+        match s.xs_cex with
+        | None -> Json.Null
+        | Some c ->
+            Json.Obj
+              [
+                ("message", Json.String c.cx_message);
+                ("schedule", Json.String c.cx_schedule);
+                ("crashed", Json.List (List.map (fun p -> Json.Int p) c.cx_crashed));
+                ("truncated", Json.Bool c.cx_truncated);
+              ] );
+      ("metrics", Svm.Metrics.snapshot s.xs_metrics);
     ]
 
-let summary_of_json v =
-  match Json.to_list v with
-  | Some
-      [
-        Json.Int leaf;
-        Json.Int runs;
-        Json.Int truncated;
-        Json.Int cex;
-        Json.Int pruned_states;
-        Json.Int pruned_commutes;
-        Json.Int exhausted;
-      ]
-    when runs >= 0 && truncated >= 0 && pruned_states >= 0
-         && pruned_commutes >= 0 ->
-      Ok
-        {
-          Svm.Explore.ts_leaf = leaf <> 0;
-          ts_runs = runs;
-          ts_truncated = truncated;
-          ts_cex = cex <> 0;
-          ts_pruned_states = pruned_states;
-          ts_pruned_commutes = pruned_commutes;
-          ts_exhausted = exhausted <> 0;
-        }
-  | _ -> Error "task summary must be a list of seven ints"
+let count_field name v =
+  let* n = field name Json.to_int v in
+  if n < 0 then Error (Printf.sprintf "field %S is negative" name) else Ok n
+
+let explore_cex_of_json v =
+  let* cx_message = field "message" Json.to_str v in
+  let* cx_schedule = field "schedule" Json.to_str v in
+  let* crashed = field "crashed" Json.to_list v in
+  let* cx_crashed =
+    List.fold_right
+      (fun p acc ->
+        let* acc = acc in
+        match p with
+        | Json.Int p when p >= 0 -> Ok (p :: acc)
+        | _ -> Error "crashed must list pids")
+      crashed (Ok [])
+  in
+  let* cx_truncated = field "truncated" to_bool v in
+  Ok { cx_message; cx_schedule; cx_crashed; cx_truncated }
+
+let explore_summary_of_json v =
+  let* xs_explored = count_field "explored" v in
+  let* xs_truncated = count_field "truncated" v in
+  let* xs_pruned_states, xs_pruned_commutes, xs_pruned_source =
+    match Json.member "pruned" v with
+    | Some (Json.List [ Json.Int s; Json.Int c; Json.Int src ])
+      when s >= 0 && c >= 0 && src >= 0 ->
+        Ok (s, c, src)
+    | _ -> Error "pruned must be three counts"
+  in
+  let* xs_exhausted = field "exhausted" to_bool v in
+  let* xs_cex =
+    match Json.member "cex" v with
+    | None | Some Json.Null -> Ok None
+    | Some c -> Result.map Option.some (explore_cex_of_json c)
+  in
+  let* xs_metrics =
+    match Json.member "metrics" v with
+    | Some m -> Svm.Metrics.of_snapshot m
+    | None -> Error "missing field \"metrics\""
+  in
+  if xs_truncated > xs_explored then Error "more truncated runs than runs"
+  else
+    Ok
+      {
+        xs_explored;
+        xs_truncated;
+        xs_pruned_states;
+        xs_pruned_commutes;
+        xs_pruned_source;
+        xs_exhausted;
+        xs_cex;
+        xs_metrics;
+      }
 
 (* ------------------------------------------------------------------ *)
 (* Shard payload validation                                             *)
@@ -320,36 +380,11 @@ let check_sweep_payload ~lo ~hi payload =
       end
   | _ -> Error "sweep shard payload must be a tag string"
 
-(* Same for an explore shard: one task summary per task in [lo, hi);
-   the cut is the first task that found a counterexample or hit its
-   budget. *)
+(* An explore job is one cell, run whole by one worker: its one shard
+   is cell 0 and its payload one explore summary. Nothing is cut. *)
 let check_explore_payload ~lo ~hi payload =
-  match payload with
-  | Json.List l ->
-      let n = hi - lo in
-      if List.length l <> n then
-        Error
-          (Printf.sprintf "expected %d task summaries, got %d" n
-             (List.length l))
-      else begin
-        let rec go i finding = function
-          | [] -> Ok finding
-          | v :: rest -> (
-              match summary_of_json v with
-              | Error m -> Error m
-              | Ok s ->
-                  let finding =
-                    if
-                      finding = None
-                      && (s.Svm.Explore.ts_cex || s.Svm.Explore.ts_exhausted)
-                    then Some (lo + i)
-                    else finding
-                  in
-                  go (i + 1) finding rest)
-        in
-        go 0 None l
-      end
-  | _ -> Error "explore shard payload must be a summary list"
+  if lo <> 0 || hi <> 1 then Error "an explore job is exactly one cell"
+  else Result.map (fun _ -> None) (explore_summary_of_json payload)
 
 (* ------------------------------------------------------------------ *)
 (* Network handshake                                                    *)
@@ -364,8 +399,11 @@ let net_magic = "asmsim-net"
    never negotiate past the handshake by accident.
    v3: jobs may embed a DSL scenario source ([job.source], size-capped),
    letting clients submit workloads the server's binary never
-   hard-coded. *)
-let net_version = 3
+   hard-coded.
+   v4: an explore job is one cell that one worker runs whole; its
+   payload is one explore summary instead of a list of plan-task
+   summaries. *)
+let net_version = 4
 
 type role = Worker_role | Client_role
 

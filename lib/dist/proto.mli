@@ -2,15 +2,17 @@
 
     The protocol leans entirely on determinism: a job description names
     a scenario plus the sweep/explore parameters, and {e both} sides
-    independently expand it into the same {!Svm.Explore.sweep_plan} or
-    {!Svm.Explore.plan} (planning is a pure function of the
+    independently expand it (planning is a pure function of the
     parameters). Nothing structural ever crosses the wire — a shard is
     a half-open index range into the shared plan, and a shard result is
-    the minimal plain data the deterministic merge needs: one verdict
-    tag per sweep cell, or one seven-field summary per explore task.
-    Counterexamples, violations and replay artifacts are {e never}
-    serialized; the coordinator recovers them by re-running the single
-    finding cell locally.
+    the minimal plain data the coordinator needs. A sweep is one cell
+    per {!Svm.Explore.sweep_plan} entry, and its shard payload one
+    verdict tag per cell; violations and replay artifacts are never
+    serialized — the coordinator re-runs the single finding cell
+    locally. An explore is {e one} cell, run whole by one worker; its
+    payload is one {!explore_summary}, whose counterexample travels as
+    its schedule string and is rebuilt by executing that one
+    schedule.
 
     All decoders are total and return [result] — worker input is wire
     bytes from an arbitrary peer. *)
@@ -58,7 +60,7 @@ val job_fingerprint : job -> string
 type to_worker =
   | Hello of job  (** first frame; the worker builds its plan from it *)
   | Assign of { shard : int; lo : int; hi : int }
-      (** compute cells/tasks [lo..hi-1] of the plan *)
+      (** compute cells [lo..hi-1] of the plan *)
   | Ping  (** liveness probe; answer [Pong] even mid-shard *)
   | Shutdown  (** exit cleanly *)
 
@@ -70,7 +72,9 @@ type from_worker =
   | Hello_err of string  (** the job does not resolve to a plan *)
   | Pong
   | Progress of { shard : int; completed : int }
-      (** heartbeat emitted every few cells of a long shard *)
+      (** heartbeat emitted every few cells of a long sweep shard, and
+          every few tenths of a second of an explore ([completed] is
+          then its runs so far); it re-arms the shard's deadline *)
   | Result of { shard : int; payload : Svm.Json.t }
 
 val to_worker_to_json : to_worker -> Svm.Json.t
@@ -87,12 +91,32 @@ val tag_of_verdict : Svm.Explore.verdict -> char
 
 val verdict_tag_ok : char -> bool
 
-val summary_to_json : Svm.Explore.task_summary -> Svm.Json.t
-(** Seven ints: leaf, runs, truncated, cex, pruned states, pruned
-    commutes, exhausted. An explore shard's payload is the list of
-    summaries for its task range. *)
+type explore_cex = {
+  cx_message : string;  (** the property's rejection *)
+  cx_schedule : string;  (** the run's choice sequence *)
+  cx_crashed : int list;
+  cx_truncated : bool;
+}
 
-val summary_of_json : Svm.Json.t -> (Svm.Explore.task_summary, string) result
+type explore_summary = {
+  xs_explored : int;
+  xs_truncated : int;  (** runs cut by the depth bound *)
+  xs_pruned_states : int;
+  xs_pruned_commutes : int;
+  xs_pruned_source : int;
+  xs_exhausted : bool;
+  xs_cex : explore_cex option;
+  xs_metrics : Svm.Metrics.t;
+      (** the worker's deterministic explore counters, folded into the
+          submitter's registry with {!Svm.Metrics.merge} *)
+}
+(** Everything an explore job's single cell reports: its
+    {!Svm.Explore.result} minus the counterexample's outcomes, which
+    cannot travel (they are arbitrary values) and are rebuilt by
+    {!Svm.Explore.run_of_schedule}. *)
+
+val explore_summary_to_json : explore_summary -> Svm.Json.t
+val explore_summary_of_json : Svm.Json.t -> (explore_summary, string) result
 
 (** {1 Shard payload validation}
 
@@ -105,6 +129,8 @@ val check_sweep_payload :
 
 val check_explore_payload :
   lo:int -> hi:int -> Svm.Json.t -> (int option, string) result
+(** The one cell [\[0, 1)] of an explore job, carrying one decodable
+    {!explore_summary}; never a cut. *)
 
 (** {1 Network handshake}
 

@@ -587,8 +587,14 @@ let handle_worker_msg e p w msg =
               debugf e "%s pushed a metrics snapshot" p.p_name
           | Error m ->
               peer_gone e p ~reason:("bad metrics push: " ^ m)))
-  | Proto.Nf_progress { jid; shard; completed } ->
-      debugf e "%s: job %s shard %d at %d cell(s)" p.p_name jid shard completed
+  | Proto.Nf_progress { jid; shard; completed } -> (
+      debugf e "%s: job %s shard %d at %d" p.p_name jid shard completed;
+      (* Progress proves the shard is not stuck: re-arm its deadline. *)
+      match w.ws_state with
+      | W_busy { jid = j; shard = s; _ } when j = jid && s = shard ->
+          w.ws_state <-
+            W_busy { jid; shard; deadline = now () +. e.cfg.shard_timeout }
+      | _ -> ())
   | Proto.Nf_job_ok { jid; cells } -> (
       match Hashtbl.find_opt e.jobs jid with
       | None -> ()

@@ -11,8 +11,9 @@
       [stall_timeout]) and byte-rate caps ({!Policy.rate_check}) on top
       of the frame size cap — slow-loris and flooding peers are cut;
     - heartbeats with the {!Policy.heartbeat} half-timeout ping, shard
-      deadlines, and {!Policy.retry} backoff/hostile handling exactly
-      like the fork coordinator;
+      deadlines re-armed by every worker [Nf_progress], and
+      {!Policy.retry} backoff/hostile handling exactly like the fork
+      coordinator;
     - every accepted shard is journalled before it is streamed, so
       SIGTERM drains gracefully: stop accepting, let in-flight shards
       finish and checkpoint, tell clients [Sc_draining] (their job id
@@ -25,7 +26,7 @@
 type config = {
   fingerprint : string;  (** scenario-registry fingerprint to enforce *)
   shard_size : int option;  (** fixed shard size; default scales to workers *)
-  shard_timeout : float;
+  shard_timeout : float;  (** seconds without progress before a shard fails *)
   heartbeat_timeout : float;
   handshake_timeout : float;
   frame_stall_timeout : float;  (** deadline for completing one frame *)

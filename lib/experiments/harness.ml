@@ -186,11 +186,11 @@ let dist_instance (job : Dist.Proto.job) =
           else
             Ok
               (Dist.Worker.Explore_instance
-                 (Explore.plan ~max_crashes:p.Dist.Proto.ex_max_crashes
-                    ~max_runs:p.Dist.Proto.ex_max_runs
-                    ~dedup:p.Dist.Proto.ex_dedup
-                    ~max_steps:p.Dist.Proto.ex_max_steps ~make:s.Scenario.make
-                    ~property:s.Scenario.exhaustive_property ())))
+                 {
+                   Dist.Worker.params = p;
+                   make = s.Scenario.make;
+                   property = s.Scenario.exhaustive_property;
+                 }))
 
 type dist_result =
   [ `Sweep of
@@ -206,10 +206,10 @@ let run_job_dist ?metrics ?on_progress config (job : Dist.Proto.job) :
       Result.map
         (fun (o, st) -> `Sweep (o, st))
         (Dist.Coordinator.sweep ?metrics ?on_progress config ~job ~plan ())
-  | Ok (Dist.Worker.Explore_instance plan) ->
+  | Ok (Dist.Worker.Explore_instance explore) ->
       Result.map
         (fun (o, st) -> `Explore (o, st))
-        (Dist.Coordinator.explore ?metrics ?on_progress config ~job ~plan ())
+        (Dist.Coordinator.explore ?metrics config ~job ~explore ())
 
 let sweep_scenario_dist ?kinds ?max_faults ?op_window ?max_runs ?budget
     ?metrics ?on_progress config (s : Scenario.t) =
@@ -220,9 +220,9 @@ let sweep_scenario_dist ?kinds ?max_faults ?op_window ?max_runs ?budget
   | Ok (`Explore _) -> Error "internal: sweep job resolved to an explore plan"
 
 let explore_scenario_dist ?max_crashes ?max_runs ?max_steps ?dedup ?metrics
-    ?on_progress config (s : Scenario.t) =
+    config (s : Scenario.t) =
   let job = explore_job ?max_crashes ?max_runs ?dedup ?max_steps s in
-  match run_job_dist ?metrics ?on_progress config job with
+  match run_job_dist ?metrics config job with
   | Error m -> Error m
   | Ok (`Explore r) -> Ok r
   | Ok (`Sweep _) -> Error "internal: explore job resolved to a sweep plan"

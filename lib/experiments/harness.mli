@@ -123,7 +123,9 @@ val run_job_dist :
   Dist.Proto.job ->
   (dist_result, string) result
 (** Run any job under the coordinator — the entry point for resuming a
-    journalled job whose mode is only known at run time. *)
+    journalled job whose mode is only known at run time. [on_progress]
+    is a sweep merge's heartbeat; an explore runs on a worker, whose
+    progress only re-arms its shard deadline. *)
 
 val sweep_scenario_dist :
   ?kinds:Svm.Adversary.fault_kind list ->
@@ -148,14 +150,15 @@ val explore_scenario_dist :
   ?max_steps:int ->
   ?dedup:bool ->
   ?metrics:Svm.Metrics.t ->
-  ?on_progress:(runs:int -> unit) ->
   Dist.Coordinator.config ->
   Scenario.t ->
   ( Svm.Univ.t Svm.Explore.result Dist.Coordinator.outcome
     * Dist.Coordinator.stats,
     string )
   result
-(** {!explore_scenario} across worker processes. *)
+(** {!explore_scenario} on one worker process: the whole exploration is
+    one cell, so the result and the metrics increments are the
+    in-process run's, bit for bit. *)
 
 val registry_fingerprint : unit -> string
 (** Digest of the scenario registry and the network protocol version,

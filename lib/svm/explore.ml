@@ -16,6 +16,14 @@ type 'a result = {
 
 type 'a pstate = Running of 'a Prog.t | Done of 'a | Crashed
 
+let outcomes_of states =
+  Array.map
+    (function
+      | Running _ -> Exec.Blocked
+      | Done v -> Exec.Decided v
+      | Crashed -> Exec.Crashed)
+    states
+
 type choice = Step of int | Crash of int
 
 let pp_choice = function
@@ -85,16 +93,17 @@ let encode_result : type r. r Op.t -> r -> enc =
    per-(family, pid) query counts — two different processes querying
    the same oracle touch different cells.
 
-   Two relations are defined over them. The coarse one ([coarse_indep],
-   the plan engine's) says two operations on the same instance conflict
+   Two relations are defined over them. The coarse one
+   ([coarse_indep_r]) says two operations on the same instance conflict
    unless both only read. Many such pairs in fact commute, and for the
    single-writer snapshot objects at the heart of the paper's
    constructions — every process writes its own component — *all*
-   sibling writes commute. The refined relation ([rf_indep], engine
-   C's) is evaluated against the current store state (Godefroid's
-   conditional independence), which is sound exactly because the sleep
-   filter runs at the state the two candidate operations would both
-   execute from. *)
+   sibling writes commute. The refined relation ([rf_indep]), the one
+   the sleep filter applies, is evaluated against the current store
+   state (Godefroid's conditional independence), which is sound exactly
+   because the sleep filter runs at the state the two candidate
+   operations would both execute from; the coarse one only decides
+   which survivors count as source-set prunes. *)
 type rfp =
   | R_none
   | R_oracle of Op.fam * int
@@ -201,22 +210,13 @@ let rf_indep env a b =
       | R_deq (f, k), R_deq _ -> Env.queue_length env f k = 0
       | _ -> false)
 
-(* The coarse relation's verdict on two shared-object footprints. Only
-   valid when neither side is [R_none] or [R_oracle] — which
-   [coarse_indep] rules out, and [rf_indep env a b = true] settles the
-   same way (the one case where the formulas differ, two oracle queries
-   by the same process, cannot pass the refined check). *)
+(* The coarse (state-blind) relation on two shared-object footprints:
+   distinct instances, or two reads. Only consulted once
+   [rf_indep env a b] has said [true], which settles every [R_none] and
+   [R_oracle] pair the same way the coarse relation would. *)
 let coarse_indep_r a b =
   let is_read = function R_read _ | R_snap_scan _ -> true | _ -> false in
   (not (rsame_loc a b)) || (is_read a && is_read b)
-
-(* The coarse (state-blind) relation: distinct instances, or two reads. *)
-let coarse_indep a b =
-  match (a, b) with
-  | R_none, _ | _, R_none -> true
-  | R_oracle (f1, p1), R_oracle (f2, p2) -> not (String.equal f1 f2 && p1 = p2)
-  | R_oracle _, _ | _, R_oracle _ -> true
-  | _ -> coarse_indep_r a b
 
 let rloc = function
   | R_none | R_oracle _ -> None
@@ -237,17 +237,17 @@ let rloc = function
 (* ------------------------------------------------------------------ *)
 
 (* Everything a visited key mentions that is not already a small int is
-   named by an id in one interning table per walk (one per engine C
-   pass, one per phase-A walk or plan task): a process's history, one
-   store entry, one oracle query count, one decided value. Within one
+   named by an id in the interning table of one engine pass: a
+   process's history, one store entry, one oracle query count, one
+   decided value. Within one
    table id equality is exactly (polymorphic) equality of the named
    values, so two keys made of ids are equal exactly when the states
    they name agree component by component. Id 0 is never handed out
    (see [Visited.Intern]), which leaves it for the root history.
 
    A history id names a (history-so-far id, next result) pair, so a
-   process's whole history is one id, extended in O(1) per step;
-   relative to the same root ids, id equality is history equality. *)
+   process's whole history is one id, extended in O(1) per step, and
+   id equality is history equality. *)
 type 'a name =
   | N_hist of int * enc
   | N_entry of (Op.fam * Op.key) * Env.instance_sig
@@ -260,11 +260,6 @@ let name_id (tbl : 'a intern) n =
   Visited.Intern.id tbl ~hash:(Hashtbl.hash_param 64 256 n) n
 
 let intern_step tbl pk op r = name_id tbl (N_hist (pk, encode_result op r))
-
-(* Per-walk interning table size. Constant: a plan-engine table lives
-   for one phase-A walk or one task and dies with it (one stripe); an
-   engine C pass shares the default-sized one across its domains. *)
-let task_intern_buckets = 1024
 
 (* ------------------------------------------------------------------ *)
 (* The store signature                                                  *)
@@ -289,14 +284,6 @@ let esig_of_canonical tbl c =
   {
     es_inst = List.map (fun (k, s) -> entry tbl k s) inst;
     es_orc = List.map (fun (k, n) -> oracle tbl k n) orc;
-  }
-
-(* The same signature named in another table — how a plan task re-roots
-   the signature its subtree root carries from the phase-A walk. *)
-let esig_reintern tbl es =
-  {
-    es_inst = List.map (fun (_, k, s) -> entry tbl k s) es.es_inst;
-    es_orc = List.map (fun (_, k, n) -> oracle tbl k n) es.es_orc;
   }
 
 (* Sorted-assoc update with structural sharing: [Some s] inserts or
@@ -340,7 +327,7 @@ let esig_step tbl env es fp ~pid =
           if l == es.es_inst then es else { es with es_inst = l })
 
 (* ------------------------------------------------------------------ *)
-(* Visited-state keys, shared by both engines                           *)
+(* Visited-state keys                                                   *)
 (* ------------------------------------------------------------------ *)
 
 (* The visited-state key. Everything that determines the remainder of a
@@ -367,11 +354,10 @@ let esig_step tbl env es fp ~pid =
    [sleep_insert]), one code per (choice, tag) entry. Every variable
    segment but the last is length-prefixed, so the array parses
    uniquely, and each id names its value exactly (see [name]): two keys
-   are equal exactly when every component is. Sleep tags mark engine
-   C's source-set entries (see [rsleep_filter]) and are always [false]
-   in the plan engine; two visits that differ only in tags may split
-   their prunes between the two counters, so the tags are key
-   content. *)
+   are equal exactly when every component is. Sleep tags mark
+   source-set entries (see [rsleep_filter]); two visits that differ
+   only in tags may split their prunes between the two counters, so the
+   tags are key content. *)
 let sleep_code (u, tag) =
   let c = match u with Step p -> 2 * p | Crash p -> (2 * p) + 1 in
   (2 * c) + if tag then 1 else 0
@@ -437,11 +423,6 @@ let vkey_hash (k : int array) =
   let h = h * 0x1B873593A5A5A5 in
   h lxor (h lsr 29)
 
-(* The proc ids at a root: every running process at id 0, i.e. its
-   history counted from here. *)
-let root_pkey states =
-  Array.map (function Running _ -> 0 | Crashed -> -1 | Done _ -> -2) states
-
 (* Insert a finished process's decided value, with its id, keeping the
    list sorted by pid so completion order cannot split equal states. *)
 let dval tbl pid v = (pid, name_id tbl (N_value v), v)
@@ -450,8 +431,6 @@ let rec dvals_add tbl pid v = function
   | [] -> [ dval tbl pid v ]
   | ((p, _, _) as e) :: tl ->
       if pid < p then dval tbl pid v :: e :: tl else e :: dvals_add tbl pid v tl
-
-let dvals_reintern tbl dvals = List.map (fun (p, _, v) -> dval tbl p v) dvals
 
 (* Sorted insert keeping the sleep list canonical by construction
    (choices are unique within a list, so ordering by choice is total).
@@ -463,8 +442,6 @@ let rec sleep_insert b = function
   | (u, _) as e :: tl ->
       if compare b u < 0 then (b, false) :: e :: tl
       else e :: sleep_insert b tl
-
-let asleep b sleep = List.exists (fun (u, _) -> u = b) sleep
 
 (* Crashing commutes with another process's step (same final state, same
    crash order) but never with another crash (the [crashed] list
@@ -485,577 +462,8 @@ let node_fps states =
     states
 
 (* ------------------------------------------------------------------ *)
-(* The plan engine's DFS (undo-journal based, shared by all phases)     *)
-(* ------------------------------------------------------------------ *)
-
-(* Which sleeping transitions survive executing [Step t_pid], under the
-   coarse relation? A sleeping process has not moved since it entered
-   the sleep set, so its footprint is the current node's. *)
-let sleep_filter states fps t_pid sleep =
-  List.filter
-    (fun (u, _) ->
-      match u with
-      | Crash q -> q <> t_pid
-      | Step q -> (
-          q <> t_pid
-          &&
-          match states.(q) with
-          | Running _ -> coarse_indep fps.(q) fps.(t_pid)
-          | Done _ | Crashed -> false))
-    sleep
-
-(* A walk's private visited table: growable, since a task's subtree
-   size is unknown up front. *)
-module Visited_walk = Hashtbl.Make (struct
-  type t = int array
-
-  let equal (a : t) b = a = b
-  let hash = vkey_hash
-end)
-
-let seen_or_add tbl key =
-  Visited_walk.mem tbl key
-  || begin
-       Visited_walk.add tbl key ();
-       false
-     end
-
-(* [pkey], [dvals] and [esig] are the key components of the current
-   node (see [vkey]), advanced on descent and restored (an int or
-   pointer store) on backtrack. They are maintained only when dedup is
-   on — the visited table is their only consumer. [intern] names
-   histories, store entries and decided values relative to this walk's
-   root (see [run_subtree]). *)
-type 'a ctx = {
-  env : Env.t;
-  states : 'a pstate array;
-  pkey : int array;
-  mutable dvals : (int * int * 'a) list;
-  mutable esig : esig;
-  intern : 'a intern;
-  max_steps : int;
-  max_crashes : int;
-  property : 'a run -> (unit, string) Stdlib.result;
-  visited : unit Visited_walk.t option; (* None = dedup and sleep sets off *)
-  run_cap : int;
-  mutable runs : int;
-  mutable truncated : int;
-  mutable cex : ('a run * string) option;
-  mutable pruned_states : int;
-  mutable pruned_commutes : int;
-  mutable exhausted : bool;
-}
-
-exception Task_stop
-exception Phase_stop
-
-let make_key ctx depth rev_crashed sleep =
-  vkey ~depth ~rev_crashed ~pkey:ctx.pkey ~dvals:ctx.dvals ~es:ctx.esig ~sleep
-
-let mk_run ctx ~truncated rev_crashed rev_choices =
-  let outcomes =
-    Array.map
-      (function
-        | Running _ -> Exec.Blocked
-        | Done v -> Exec.Decided v
-        | Crashed -> Exec.Crashed)
-      ctx.states
-  in
-  {
-    outcomes;
-    crashed = List.rev rev_crashed;
-    truncated;
-    schedule = schedule_string rev_choices;
-  }
-
-(* Account one completed (or depth-truncated) run inside a task. Tasks
-   carry no registry of their own — the merge accounts metrics from the
-   per-task summaries, which is what lets a remote worker ship seven
-   integers instead of a registry and still merge byte-identically. *)
-let finish ctx ~truncated rev_crashed rev_choices =
-  let run = mk_run ctx ~truncated rev_crashed rev_choices in
-  ctx.runs <- ctx.runs + 1;
-  if truncated then ctx.truncated <- ctx.truncated + 1;
-  (match ctx.property run with
-  | Ok () -> ()
-  | Error msg ->
-      ctx.cex <- Some (run, msg);
-      raise Task_stop);
-  if ctx.runs >= ctx.run_cap then begin
-    ctx.exhausted <- true;
-    raise Task_stop
-  end
-
-(* Depth-first over choices, mutating [ctx.env] in place and undoing via
-   the journal. [frontier = Some (fd, capture)] stops expansion at depth
-   [fd] and hands the node to [capture] instead (phase A); [on_run] is
-   called for every terminal node that survives deduplication. *)
-let rec dfs ctx ~frontier ~on_run depth crashes rev_crashed rev_choices sleep =
-  let dedup = ctx.visited <> None in
-  let live =
-    let rec go i acc =
-      if i < 0 then acc
-      else
-        go (i - 1)
-          (match ctx.states.(i) with
-          | Running _ -> i :: acc
-          | Done _ | Crashed -> acc)
-    in
-    go (Array.length ctx.states - 1) []
-  in
-  if live = [] || depth >= ctx.max_steps then begin
-    (* Terminal. The sleep set is irrelevant here (no transitions), so
-       key terminals with an empty one: equal end states reached under
-       different sleep sets are still one run record. *)
-    match ctx.visited with
-    | Some tbl when seen_or_add tbl (make_key ctx depth rev_crashed []) ->
-        ctx.pruned_states <- ctx.pruned_states + 1
-    | _ -> on_run ~truncated:(live <> []) rev_crashed rev_choices
-  end
-  else
-    match ctx.visited with
-    | Some tbl when seen_or_add tbl (make_key ctx depth rev_crashed sleep) ->
-        ctx.pruned_states <- ctx.pruned_states + 1
-    | _ -> (
-        match frontier with
-        | Some (fd, capture) when depth >= fd ->
-            capture ~depth ~crashes ~rev_crashed ~rev_choices ~sleep
-        | _ ->
-            let fps = if dedup then node_fps ctx.states else [||] in
-            let sleep = ref sleep in
-            let sleeping t = dedup && asleep t !sleep in
-            List.iter
-              (fun pid ->
-                (* Branch 1: pid executes one operation. *)
-                (match ctx.states.(pid) with
-                | Running prog ->
-                    let t = Step pid in
-                    if sleeping t then
-                      ctx.pruned_commutes <- ctx.pruned_commutes + 1
-                    else begin
-                      let cp = Env.checkpoint ctx.env in
-                      let saved_pk = ctx.pkey.(pid) in
-                      let saved_dv = ctx.dvals in
-                      let saved_es = ctx.esig in
-                      (match prog with
-                      | Prog.Done v ->
-                          ctx.states.(pid) <- Done v;
-                          if dedup then begin
-                            ctx.pkey.(pid) <- -2;
-                            ctx.dvals <- dvals_add ctx.intern pid v saved_dv
-                          end
-                      | Prog.Step (op, k) ->
-                          let r = Env.apply ctx.env ~pid op in
-                          if dedup then begin
-                            ctx.pkey.(pid) <-
-                              intern_step ctx.intern saved_pk op r;
-                            ctx.esig <-
-                              esig_step ctx.intern ctx.env saved_es fps.(pid)
-                                ~pid
-                          end;
-                          ctx.states.(pid) <- Running (k r));
-                      let child_sleep =
-                        if dedup then sleep_filter ctx.states fps pid !sleep
-                        else []
-                      in
-                      dfs ctx ~frontier ~on_run (depth + 1) crashes rev_crashed
-                        (t :: rev_choices) child_sleep;
-                      Env.rollback ctx.env cp;
-                      ctx.states.(pid) <- Running prog;
-                      ctx.pkey.(pid) <- saved_pk;
-                      ctx.dvals <- saved_dv;
-                      ctx.esig <- saved_es;
-                      if dedup then sleep := sleep_insert t !sleep
-                    end
-                | Done _ | Crashed -> assert false);
-                (* Branch 2: pid crashes instead. *)
-                if crashes < ctx.max_crashes then begin
-                  let t = Crash pid in
-                  if sleeping t then
-                    ctx.pruned_commutes <- ctx.pruned_commutes + 1
-                  else begin
-                    let saved = ctx.states.(pid) in
-                    let saved_pk = ctx.pkey.(pid) in
-                    ctx.states.(pid) <- Crashed;
-                    ctx.pkey.(pid) <- -1;
-                    let child_sleep =
-                      if dedup then sleep_filter_crash pid !sleep else []
-                    in
-                    dfs ctx ~frontier ~on_run (depth + 1) (crashes + 1)
-                      (pid :: rev_crashed) (t :: rev_choices) child_sleep;
-                    ctx.states.(pid) <- saved;
-                    ctx.pkey.(pid) <- saved_pk;
-                    if dedup then sleep := sleep_insert t !sleep
-                  end
-                end)
-              live)
-
-(* ------------------------------------------------------------------ *)
-(* Frontier tasks and deterministic merging                             *)
-(* ------------------------------------------------------------------ *)
-
-type 'a task_result = {
-  t_runs : int;
-  t_truncated : int;
-  t_cex : ('a run * string) option;
-  t_pruned_states : int;
-  t_pruned_commutes : int;
-  t_exhausted : bool;
-}
-
-(* A subtree root captured at the frontier: a private copy of the store
-   plus everything needed to resume the DFS exactly where phase A left
-   off. Workers own their subtree outright, so no cross-domain sharing
-   of mutable state ever happens. Histories are not carried: the task
-   re-roots them (see [run_subtree]), so only the finished processes'
-   values and the store signature travel with the root. *)
-type 'a subtree = {
-  s_env : Env.t;
-  s_states : 'a pstate array;
-  s_done : (int * int * 'a) list;
-  s_esig : esig;
-  s_depth : int;
-  s_crashes : int;
-  s_rev_crashed : int list;
-  s_rev_choices : choice list;
-  s_sleep : (choice * bool) list;
-}
-
-type 'a task = T_leaf of 'a task_result | T_subtree of 'a subtree
-
-let fresh_ctx ~env ~states ~intern ~dvals ~esig ~max_steps ~max_crashes
-    ~property ~dedup ~run_cap =
-  {
-    env;
-    states;
-    pkey = root_pkey states;
-    dvals;
-    esig;
-    intern;
-    max_steps;
-    max_crashes;
-    property;
-    visited = (if dedup then Some (Visited_walk.create 512) else None);
-    run_cap;
-    runs = 0;
-    truncated = 0;
-    cex = None;
-    pruned_states = 0;
-    pruned_commutes = 0;
-    exhausted = false;
-  }
-
-let task_result_of_ctx ctx =
-  {
-    t_runs = ctx.runs;
-    t_truncated = ctx.truncated;
-    t_cex = ctx.cex;
-    t_pruned_states = ctx.pruned_states;
-    t_pruned_commutes = ctx.pruned_commutes;
-    t_exhausted = ctx.exhausted;
-  }
-
-(* Explore one captured subtree to completion. The subtree's state is
-   never consumed: the DFS works on copies of the process arrays and
-   rolls the (task-private) environment back to its root on every exit
-   path, so running the same subtree twice gives the same answer — the
-   merge relies on this to recompute any task the pool skipped.
-
-   The task interns in its own table, with every running process
-   re-rooted at id 0 and the root's store entries and decided values
-   re-named in it. This is exact: the visited table is task-private
-   too, so every key it ever compares belongs to a state below this one
-   root, where each process's full history is its (fixed) history at
-   the root followed by its steps since. Full histories are therefore
-   equal iff the suffixes are, and suffix ids equal iff the suffixes
-   are ([intern_step]); entry and value ids name their values outright.
-   Keys compare position-wise, so two components sharing an id number
-   never meet. *)
-let run_subtree ~dedup ~max_steps ~max_crashes ~run_cap ~property
-    (s : 'a subtree) =
-  Env.enable_journal s.s_env;
-  let cp0 = Env.checkpoint s.s_env in
-  let intern = Visited.Intern.create ~buckets:task_intern_buckets () in
-  let ctx =
-    fresh_ctx ~env:s.s_env ~states:(Array.copy s.s_states) ~intern
-      ~dvals:(dvals_reintern intern s.s_done)
-      ~esig:(esig_reintern intern s.s_esig)
-      ~max_steps ~max_crashes ~property ~dedup ~run_cap
-  in
-  (try
-     dfs ctx ~frontier:None ~on_run:(finish ctx) s.s_depth s.s_crashes
-       s.s_rev_crashed s.s_rev_choices s.s_sleep
-   with Task_stop -> Env.rollback s.s_env cp0);
-  Env.disable_journal s.s_env;
-  task_result_of_ctx ctx
-
-(* Phase A: walk the tree sequentially down to [frontier_depth], with
-   the same dedup/sleep machinery, emitting work in DFS order — runs
-   completing above the frontier come out as already-resolved leaf
-   tasks, frontier nodes as subtree tasks. The frontier depth must not
-   depend on [jobs], or different job counts would slice the tree
-   differently; it never does. The walk interns in its own table,
-   rooted at the initial state, and drops it on return: a plan
-   holds no interning state, only the per-root values each subtree
-   carries (whose ids the task re-names, see [run_subtree]). *)
-let explore_tasks ~dedup ~frontier_depth ~max_steps ~max_crashes ~max_runs
-    ~property ~make () =
-  let env0, progs = make () in
-  Env.enable_journal env0;
-  let intern = Visited.Intern.create ~buckets:task_intern_buckets () in
-  let ctx =
-    fresh_ctx ~env:env0
-      ~states:(Array.map (fun p -> Running p) progs)
-      ~intern ~dvals:[]
-      ~esig:(esig_of_canonical intern (Env.canonical env0))
-      ~max_steps ~max_crashes ~property ~dedup ~run_cap:max_int
-  in
-  let emitted = ref [] in
-  let n_emitted = ref 0 in
-  let emit e =
-    emitted := e :: !emitted;
-    incr n_emitted;
-    (* Every task yields at least one run, so after [max_runs] tasks the
-       merge can never include another: stop splitting. *)
-    if !n_emitted >= max_runs then raise Phase_stop
-  in
-  let on_run ~truncated rev_crashed rev_choices =
-    let run = mk_run ctx ~truncated rev_crashed rev_choices in
-    let cex =
-      match property run with Ok () -> None | Error msg -> Some (run, msg)
-    in
-    emit
-      (T_leaf
-         {
-           t_runs = 1;
-           t_truncated = (if truncated then 1 else 0);
-           t_cex = cex;
-           t_pruned_states = 0;
-           t_pruned_commutes = 0;
-           t_exhausted = false;
-         });
-    (* Any task after a counterexample can never be merged. *)
-    if cex <> None then raise Phase_stop
-  in
-  let capture ~depth ~crashes ~rev_crashed ~rev_choices ~sleep =
-    emit
-      (T_subtree
-         {
-           s_env = Env.copy ctx.env;
-           s_states = Array.copy ctx.states;
-           s_done = ctx.dvals;
-           s_esig = ctx.esig;
-           s_depth = depth;
-           s_crashes = crashes;
-           s_rev_crashed = rev_crashed;
-           s_rev_choices = rev_choices;
-           s_sleep = sleep;
-         })
-  in
-  (try
-     dfs ctx ~frontier:(Some (frontier_depth, capture)) ~on_run 0 0 [] [] []
-   with Phase_stop -> ());
-  Env.disable_journal env0;
-  (Array.of_list (List.rev !emitted), ctx.pruned_states, ctx.pruned_commutes)
-
-(* ------------------------------------------------------------------ *)
-(* Sharding hooks: a plan is the jobs-independent slicing of the tree   *)
-(* ------------------------------------------------------------------ *)
-
-(* Everything the merge needs, computed once. The plan is built by the
-   same phase-A walk regardless of who executes the tasks (in-process
-   domains, or worker processes in [Dist]); because phase A is
-   deterministic, a coordinator and its re-exec'd workers construct the
-   very same plan from the same parameters, and a task index is a
-   complete description of a unit of work. *)
-type 'a plan = {
-  pl_tasks : 'a task array;
-  pl_phase_pruned_states : int;
-  pl_phase_pruned_commutes : int;
-  pl_dedup : bool;
-  pl_max_steps : int;
-  pl_max_crashes : int;
-  pl_max_runs : int;
-  pl_property : 'a run -> (unit, string) Stdlib.result;
-}
-
-let plan ?(max_crashes = 0) ?(max_runs = 2_000_000) ?(dedup = true)
-    ?(frontier_depth = 3) ~max_steps ~make ~property () =
-  let tasks, phase_pruned_states, phase_pruned_commutes =
-    explore_tasks ~dedup ~frontier_depth ~max_steps ~max_crashes ~max_runs
-      ~property ~make ()
-  in
-  {
-    pl_tasks = tasks;
-    pl_phase_pruned_states = phase_pruned_states;
-    pl_phase_pruned_commutes = phase_pruned_commutes;
-    pl_dedup = dedup;
-    pl_max_steps = max_steps;
-    pl_max_crashes = max_crashes;
-    pl_max_runs = max_runs;
-    pl_property = property;
-  }
-
-let plan_tasks p = Array.length p.pl_tasks
-
-type task_summary = {
-  ts_leaf : bool;
-  ts_runs : int;
-  ts_truncated : int;
-  ts_cex : bool;
-  ts_pruned_states : int;
-  ts_pruned_commutes : int;
-  ts_exhausted : bool;
-}
-
-let summary_of_result ~leaf (r : 'a task_result) =
-  {
-    ts_leaf = leaf;
-    ts_runs = r.t_runs;
-    ts_truncated = r.t_truncated;
-    ts_cex = r.t_cex <> None;
-    ts_pruned_states = r.t_pruned_states;
-    ts_pruned_commutes = r.t_pruned_commutes;
-    ts_exhausted = r.t_exhausted;
-  }
-
-(* Execute one task of the plan. Leaves were resolved during phase A;
-   subtrees are re-runnable any number of times (see [run_subtree]), so
-   a skipped or remotely-computed task can always be recomputed here. *)
-let task_outcome p i =
-  match p.pl_tasks.(i) with
-  | T_leaf r -> (summary_of_result ~leaf:true r, r.t_cex)
-  | T_subtree s ->
-      let r =
-        run_subtree ~dedup:p.pl_dedup ~max_steps:p.pl_max_steps
-          ~max_crashes:p.pl_max_crashes ~run_cap:p.pl_max_runs
-          ~property:p.pl_property s
-      in
-      (summary_of_result ~leaf:false r, r.t_cex)
-
-(* Merge strictly in task (= DFS) order. Budget and counterexample
-   cut-offs are decided here, from per-task totals, so the outcome is a
-   pure function of the summaries — identical at any job count, and
-   identical whether summaries came from domains or worker processes.
-   [outcome_of] must supply the full counterexample for tasks whose
-   summary says [ts_cex]; a caller holding only a remote summary re-runs
-   that task locally ([task_outcome] is deterministic). Metrics are
-   accounted from the summaries: leaves always create [explore.runs]
-   (their single run), subtrees create run counters only when non-zero
-   but always create both pruning counters — mirroring what a per-task
-   registry used to record, so snapshots are stable across versions. *)
-let merge_plan ?metrics ?on_progress p ~outcome_of =
-  let ntasks = Array.length p.pl_tasks in
-  let explored = ref 0 in
-  let truncated = ref 0 in
-  let pruned_s = ref p.pl_phase_pruned_states in
-  let pruned_c = ref p.pl_phase_pruned_commutes in
-  let cex = ref None in
-  let exhausted = ref false in
-  (try
-     for i = 0 to ntasks - 1 do
-       if !explored >= p.pl_max_runs then begin
-         exhausted := true;
-         raise Found
-       end;
-       let (s : task_summary), c = outcome_of i in
-       explored := !explored + s.ts_runs;
-       truncated := !truncated + s.ts_truncated;
-       pruned_s := !pruned_s + s.ts_pruned_states;
-       pruned_c := !pruned_c + s.ts_pruned_commutes;
-       (match metrics with
-       | Some m ->
-           if s.ts_leaf then begin
-             Metrics.incr ~by:s.ts_runs (Metrics.counter m "explore.runs");
-             if s.ts_truncated > 0 then
-               Metrics.incr ~by:s.ts_truncated
-                 (Metrics.counter m "explore.truncated");
-             if s.ts_cex then
-               Metrics.incr (Metrics.counter m "explore.counterexamples")
-           end
-           else begin
-             if s.ts_runs > 0 then
-               Metrics.incr ~by:s.ts_runs (Metrics.counter m "explore.runs");
-             if s.ts_truncated > 0 then
-               Metrics.incr ~by:s.ts_truncated
-                 (Metrics.counter m "explore.truncated");
-             if s.ts_cex then
-               Metrics.incr (Metrics.counter m "explore.counterexamples");
-             Metrics.incr ~by:s.ts_pruned_states
-               (Metrics.counter m "explore.pruned_states");
-             Metrics.incr ~by:s.ts_pruned_commutes
-               (Metrics.counter m "explore.pruned_commutes")
-           end
-       | None -> ());
-       heartbeat on_progress !explored;
-       if s.ts_cex then begin
-         (match c with
-         | Some c -> cex := Some c
-         | None ->
-             (* the summary says this task found the counterexample, so a
-                local deterministic re-run recovers the full record *)
-             cex := snd (task_outcome p i));
-         raise Found
-       end;
-       if s.ts_exhausted then begin
-         exhausted := true;
-         raise Found
-       end
-     done;
-     if !explored >= p.pl_max_runs then exhausted := true
-   with Found -> ());
-  note_by metrics "explore.pruned_states" p.pl_phase_pruned_states;
-  note_by metrics "explore.pruned_commutes" p.pl_phase_pruned_commutes;
-  (* The plan engine has no source-set pruning; create the counter
-     anyway (at zero) so snapshots have the same membership whichever
-     engine produced the result. *)
-  note_by metrics "explore.pruned_source" 0;
-  {
-    explored = !explored;
-    counterexample = !cex;
-    exhausted_budget = !exhausted;
-    pruned_states = !pruned_s;
-    pruned_commutes = !pruned_c;
-    pruned_source = 0;
-  }
-
-(* The plan-engine executor: phase-A slicing, indexed fan-out, in-order
-   merge. This is the canonical semantics [exhaustive] promises — the
-   sharded twin of what [Dist] coordinators run — and the fallback the
-   work-stealing engine defers to the moment a counterexample, the run
-   budget, or an exception enters the picture. *)
-let exhaustive_plan ?max_crashes ?max_runs ?metrics ?on_progress ?(jobs = 1)
-    ?oversubscribe ?dedup ?frontier_depth ~max_steps ~make ~property () =
-  let p =
-    plan ?max_crashes ?max_runs ?dedup ?frontier_depth ~max_steps ~make
-      ~property ()
-  in
-  let ntasks = plan_tasks p in
-  (* Lowest task index with a counterexample found so far: the merge
-     stops there, so any task beyond it is dead work and workers skip
-     it. Monotonically decreasing, hence safe to race on. *)
-  let best_cex = Atomic.make max_int in
-  let rec note_cex i =
-    let cur = Atomic.get best_cex in
-    if i < cur && not (Atomic.compare_and_set best_cex cur i) then note_cex i
-  in
-  let run_task i =
-    let ((s, _) as outcome) = task_outcome p i in
-    if s.ts_cex then note_cex i;
-    outcome
-  in
-  let results =
-    Par.run ~jobs ?oversubscribe
-      ~skip:(fun i -> i > Atomic.get best_cex)
-      ~tasks:ntasks run_task
-  in
-  merge_plan ?metrics ?on_progress p ~outcome_of:(fun i ->
-      match results.(i) with Some r -> r | None -> task_outcome p i)
-
-(* ------------------------------------------------------------------ *)
 (* Engine C: shared visited table + work stealing + source-set pruning  *)
 (* ------------------------------------------------------------------ *)
-
 
 (* Sleep entries are tagged: [true] means the entry's survival through
    some past filter relied on the refined relation where the coarse one
@@ -1109,17 +517,24 @@ type 'a witem = {
   w_branches : choice list option;
 }
 
-(* Shared read-mostly engine state. [g_stop] is the one-way abort: a
-   counterexample, the run budget, or any exception flips it, every
-   worker drains, and the caller re-runs the plan engine — whose
-   result in exactly those cases is the documented semantics. *)
+(* Why a pass stopped before covering the tree. *)
+type 'a stop =
+  | Cex of 'a run * string  (** the property rejected this run *)
+  | Budget  (** the [max_runs]-th run completed *)
+  | Raised of exn * Printexc.raw_backtrace
+      (** the property, [on_progress] or a program raised *)
+
+(* Shared read-mostly engine state. [g_stop] is the one-way abort: the
+   first stop is recorded, every worker drains, and the caller turns it
+   into the result — directly when one domain ran the pass, since that
+   pass is the serial DFS, or by a serial rerun otherwise. *)
 type 'a cshared = {
   g_visited : int array Visited.t option;
   g_intern : 'a intern;
       (* names histories, store entries and decided values for every
          key of this pass (see [name]) *)
   g_runs : int Atomic.t;
-  g_stop : bool Atomic.t;
+  g_stop : 'a stop option Atomic.t;
   g_run_cap : int;
   g_max_steps : int;
   g_max_crashes : int;
@@ -1127,9 +542,9 @@ type 'a cshared = {
   g_progress : (runs:int -> unit) option;
 }
 
-(* Per-worker tallies, folded after the join. All deterministic in the
-   clean (no-abort) case — see the closure argument in DESIGN §14 —
-   except [c_splits]. *)
+(* Per-worker tallies, folded after the join. All deterministic in a
+   clean pass — see the closure argument in DESIGN §14 — and in any
+   one-domain pass, except [c_splits]. *)
 type cworker = {
   mutable c_runs : int;
   mutable c_truncated : int;
@@ -1153,16 +568,23 @@ let fresh_cworker () =
 
 exception Abort
 
+let stopped g = Option.is_some (Atomic.get g.g_stop)
+
+(* Record the first stop and unwind this worker; the others see
+   [stopped] at their next node. *)
+let stop g why =
+  ignore (Atomic.compare_and_set g.g_stop None (Some why) : bool);
+  raise Abort
+
 let cseen g acc key =
   match g.g_visited with
   | None -> false
   | Some tbl -> Visited.seen_or_add tbl ~hash:(vkey_hash key) key acc.c_vstats
 
-(* Run one work item to completion (or abort). The DFS mirrors [dfs]
-   exactly — same branch order, same terminal handling — with three
-   changes: the visited table is shared, sleep sets are tagged and
-   filtered through the refined relation, and when a sibling worker is
-   starving the remainder of the current node's branch list is split
+(* Run one work item to completion (or abort). Branches are taken in
+   pid order, each process's step before its crash, so with one domain
+   the pass is a fixed serial DFS; with more, whenever a sibling worker
+   is starving the remainder of the current node's branch list is split
    off as a new item. *)
 let crun (g : 'a cshared) (acc : cworker) pool ~worker (it : 'a witem) =
   let dedup = g.g_visited <> None in
@@ -1185,17 +607,9 @@ let crun (g : 'a cshared) (acc : cworker) pool ~worker (it : 'a witem) =
     vkey ~depth ~rev_crashed ~pkey ~dvals:!dvals ~es:!esig ~sleep
   in
   let complete ~truncated rev_crashed =
-    let outcomes =
-      Array.map
-        (function
-          | Running _ -> Exec.Blocked
-          | Done v -> Exec.Decided v
-          | Crashed -> Exec.Crashed)
-        states
-    in
     let run =
       {
-        outcomes;
+        outcomes = outcomes_of states;
         crashed = List.rev rev_crashed;
         truncated;
         schedule = Buffer.contents sbuf;
@@ -1206,20 +620,12 @@ let crun (g : 'a cshared) (acc : cworker) pool ~worker (it : 'a witem) =
     let total = Atomic.fetch_and_add g.g_runs 1 + 1 in
     (match g.g_property run with
     | Ok () -> ()
-    | Error _ ->
-        Atomic.set g.g_stop true;
-        raise Abort
-    | exception _ ->
-        Atomic.set g.g_stop true;
-        raise Abort);
-    if total >= g.g_run_cap then begin
-      Atomic.set g.g_stop true;
-      raise Abort
-    end;
+    | Error msg -> stop g (Cex (run, msg)));
+    if total >= g.g_run_cap then stop g Budget;
     if worker = 0 then heartbeat g.g_progress total
   in
   let rec node depth crashes rev_crashed sleep resume =
-    if Atomic.get g.g_stop then raise Abort;
+    if stopped g then raise Abort;
     match resume with
     | Some branches -> expand (fps_here ()) depth crashes rev_crashed sleep branches
     | None ->
@@ -1258,7 +664,7 @@ let crun (g : 'a cshared) (acc : cworker) pool ~worker (it : 'a witem) =
   and expand fps depth crashes rev_crashed sleep = function
     | [] -> ()
     | b :: rest -> (
-        if Atomic.get g.g_stop then raise Abort;
+        if stopped g then raise Abort;
         let sleeping =
           if dedup then
             List.find_map (fun (u, tag) -> if u = b then Some tag else None)
@@ -1350,39 +756,33 @@ let crun (g : 'a cshared) (acc : cworker) pool ~worker (it : 'a witem) =
   in
   Env.enable_journal env;
   (try node it.w_depth it.w_crashes it.w_rev_crashed it.w_sleep it.w_branches
-   with Abort -> ());
+   with
+  | Abort -> ()
+  | e ->
+      let bt = Printexc.get_raw_backtrace () in
+      ignore (Atomic.compare_and_set g.g_stop None (Some (Raised (e, bt))) : bool));
   Env.disable_journal env
 
-let exhaustive ?max_crashes ?max_runs ?metrics ?on_progress ?(jobs = 1)
-    ?(oversubscribe = false) ?(dedup = true) ?frontier_depth ~max_steps ~make
+let rec exhaustive ?max_crashes ?(max_runs = 2_000_000) ?metrics ?on_progress
+    ?(jobs = 1) ?(oversubscribe = false) ?(dedup = true) ~max_steps ~make
     ~property () =
-  match frontier_depth with
-  | Some _ ->
-      (* An explicit frontier is a request for the static-split plan
-         engine — the path [Dist] coordinators and the bench's serial
-         baseline pin. *)
-      exhaustive_plan ?max_crashes ?max_runs ?metrics ?on_progress ~jobs
-        ~oversubscribe ~dedup ?frontier_depth ~max_steps ~make ~property ()
-  | None ->
-  let run_cap = Option.value max_runs ~default:2_000_000 in
+  if jobs < 1 then invalid_arg "Explore.exhaustive: jobs must be >= 1";
+  let njobs =
+    if oversubscribe then jobs else min jobs (Domain.recommended_domain_count ())
+  in
   let intern = Visited.Intern.create () in
   let g =
     {
       g_visited = (if dedup then Some (Visited.create ~buckets:131072 ()) else None);
       g_intern = intern;
       g_runs = Atomic.make 0;
-      g_stop = Atomic.make false;
-      g_run_cap = run_cap;
+      g_stop = Atomic.make None;
+      g_run_cap = max_runs;
       g_max_steps = max_steps;
       g_max_crashes = Option.value max_crashes ~default:0;
       g_property = property;
       g_progress = on_progress;
     }
-  in
-  let njobs =
-    if jobs < 1 then invalid_arg "Explore.exhaustive: jobs must be >= 1";
-    if oversubscribe then jobs
-    else min jobs (Domain.recommended_domain_count ())
   in
   let accs = Array.init njobs (fun _ -> fresh_cworker ()) in
   let env0, progs = make () in
@@ -1404,70 +804,134 @@ let exhaustive ?max_crashes ?max_runs ?metrics ?on_progress ?(jobs = 1)
   let pool =
     Par.run_dynamic ~jobs:njobs ~oversubscribe:true ~roots:[ root ]
       (fun pool ~worker it ->
-        if not (Atomic.get g.g_stop) then crun g accs.(worker) pool ~worker it)
+        if not (stopped g) then crun g accs.(worker) pool ~worker it)
   in
-  if Atomic.get g.g_stop then
-    (* A counterexample, the run budget, or an exception: defer to the
-       plan engine, whose in-order merge defines the result (the
-       DFS-first counterexample, the sequential budget semantics, the
-       original exception). Nothing from the aborted pass is kept —
-       no metrics were recorded yet. *)
-    exhaustive_plan ?max_crashes ?max_runs ?metrics ?on_progress ~jobs
-      ~oversubscribe ~dedup ?frontier_depth ~max_steps ~make ~property ()
-  else begin
-    let sum f = Array.fold_left (fun n a -> n + f a) 0 accs in
-    let explored = sum (fun a -> a.c_runs) in
-    let truncated = sum (fun a -> a.c_truncated) in
-    let pruned_states = sum (fun a -> a.c_pruned_states) in
-    let pruned_commutes = sum (fun a -> a.c_pruned_commutes) in
-    let pruned_source = sum (fun a -> a.c_pruned_source) in
-    let hits = sum (fun a -> a.c_vstats.Visited.hits) in
-    let misses = sum (fun a -> a.c_vstats.Visited.misses) in
-    (match metrics with
-    | None -> ()
-    | Some m ->
-        note_by metrics "explore.runs" explored;
-        if truncated > 0 then note_by metrics "explore.truncated" truncated;
-        note_by metrics "explore.pruned_states" pruned_states;
-        note_by metrics "explore.pruned_commutes" pruned_commutes;
-        note_by metrics "explore.pruned_source" pruned_source;
-        note_by metrics "explore.visited.hits" hits;
-        note_by metrics "explore.visited.misses" misses;
-        (* Timing-dependent tallies: only when the registry accepts
-           wall-clock-ish values, so snapshot-compared runs stay
-           byte-identical at any job count. *)
-        if Metrics.wall_clock m then begin
-          note_by metrics "explore.par.steals" (Par.steals pool);
-          note_by metrics "explore.par.splits" (sum (fun a -> a.c_splits));
-          Array.iteri
-            (fun i a ->
-              note_by metrics
-                (Printf.sprintf "explore.par.d%d.runs" i)
-                a.c_runs;
-              note_by metrics
-                (Printf.sprintf "explore.par.d%d.visited_hits" i)
-                a.c_vstats.Visited.hits;
-              note_by metrics
-                (Printf.sprintf "explore.par.d%d.visited_misses" i)
-                a.c_vstats.Visited.misses)
-            accs
-        end);
-    {
-      explored;
-      counterexample = None;
-      exhausted_budget = false;
-      pruned_states;
-      pruned_commutes;
-      pruned_source;
-    }
-  end
+  match Atomic.get g.g_stop with
+  | Some _ when njobs > 1 ->
+      (* Which run stops a parallel pass depends on timing; the serial
+         DFS defines the counterexample, the budget cut and the
+         exception. Nothing from this pass is kept — no metrics were
+         recorded yet. *)
+      exhaustive ?max_crashes ~max_runs ?metrics ?on_progress ~jobs:1 ~dedup
+        ~max_steps ~make ~property ()
+  | Some (Raised (e, bt)) -> Printexc.raise_with_backtrace e bt
+  | stop ->
+      let counterexample =
+        match stop with Some (Cex (run, msg)) -> Some (run, msg) | _ -> None
+      in
+      let exhausted_budget =
+        match stop with Some Budget -> true | _ -> false
+      in
+      let sum f = Array.fold_left (fun n a -> n + f a) 0 accs in
+      let explored = sum (fun a -> a.c_runs) in
+      let truncated = sum (fun a -> a.c_truncated) in
+      let pruned_states = sum (fun a -> a.c_pruned_states) in
+      let pruned_commutes = sum (fun a -> a.c_pruned_commutes) in
+      let pruned_source = sum (fun a -> a.c_pruned_source) in
+      let hits = sum (fun a -> a.c_vstats.Visited.hits) in
+      let misses = sum (fun a -> a.c_vstats.Visited.misses) in
+      (match metrics with
+      | None -> ()
+      | Some m ->
+          note_by metrics "explore.runs" explored;
+          if truncated > 0 then note_by metrics "explore.truncated" truncated;
+          if Option.is_some counterexample then note metrics "explore.counterexamples";
+          note_by metrics "explore.pruned_states" pruned_states;
+          note_by metrics "explore.pruned_commutes" pruned_commutes;
+          note_by metrics "explore.pruned_source" pruned_source;
+          note_by metrics "explore.visited.hits" hits;
+          note_by metrics "explore.visited.misses" misses;
+          (* Timing-dependent tallies: only when the registry accepts
+             wall-clock-ish values, so snapshot-compared runs stay
+             byte-identical at any job count. *)
+          if Metrics.wall_clock m then begin
+            note_by metrics "explore.par.steals" (Par.steals pool);
+            note_by metrics "explore.par.splits" (sum (fun a -> a.c_splits));
+            Array.iteri
+              (fun i a ->
+                note_by metrics
+                  (Printf.sprintf "explore.par.d%d.runs" i)
+                  a.c_runs;
+                note_by metrics
+                  (Printf.sprintf "explore.par.d%d.visited_hits" i)
+                  a.c_vstats.Visited.hits;
+                note_by metrics
+                  (Printf.sprintf "explore.par.d%d.visited_misses" i)
+                  a.c_vstats.Visited.misses)
+              accs
+          end);
+      {
+        explored;
+        counterexample;
+        exhausted_budget;
+        pruned_states;
+        pruned_commutes;
+        pruned_source;
+      }
+
+(* Re-execute one schedule string, as [pp_choice] renders it, from a
+   fresh [make ()]. Every choice must be enabled where it is taken — a
+   running process, a crash within the budget, no step past the depth
+   bound — and the schedule must end exactly where a run ends, so only
+   a run the explorer could have completed is accepted. *)
+let run_of_schedule ?(max_crashes = 0) ~max_steps ~make schedule =
+  let env, progs = make () in
+  let states = Array.map (fun p -> Running p) progs in
+  let choice tok =
+    let crash = String.length tok > 1 && tok.[0] = 'X' in
+    let digits = if crash then String.sub tok 1 (String.length tok - 1) else tok in
+    match int_of_string_opt digits with
+    | Some p when p >= 0 && p < Array.length states && string_of_int p = digits
+      ->
+        Some (if crash then Crash p else Step p)
+    | _ -> None
+  in
+  let rec go depth crashes rev_crashed = function
+    | [] ->
+        let live = Array.exists (function Running _ -> true | _ -> false) states in
+        if live && depth < max_steps then Error "the schedule ends mid-run"
+        else
+          Ok
+            {
+              outcomes = outcomes_of states;
+              crashed = List.rev rev_crashed;
+              truncated = live;
+              schedule;
+            }
+    | tok :: rest -> (
+        if depth >= max_steps then Error "the schedule exceeds the depth bound"
+        else
+          match choice tok with
+          | None -> Error (Printf.sprintf "bad choice %S" tok)
+          | Some (Step p) -> (
+              match states.(p) with
+              | Running (Prog.Done v) ->
+                  states.(p) <- Done v;
+                  go (depth + 1) crashes rev_crashed rest
+              | Running (Prog.Step (op, k)) ->
+                  states.(p) <- Running (k (Env.apply env ~pid:p op));
+                  go (depth + 1) crashes rev_crashed rest
+              | Done _ | Crashed ->
+                  Error (Printf.sprintf "choice %s: p%d is not running" tok p))
+          | Some (Crash p) -> (
+              match states.(p) with
+              | Running _ when crashes < max_crashes ->
+                  states.(p) <- Crashed;
+                  go (depth + 1) (crashes + 1) (p :: rev_crashed) rest
+              | _ -> Error (Printf.sprintf "choice %s is not enabled" tok)))
+  in
+  match
+    go 0 0 [] (if schedule = "" then [] else String.split_on_char '.' schedule)
+  with
+  | r -> r
+  | exception e -> Error (Printexc.to_string e)
 
 (* ------------------------------------------------------------------ *)
 (* Reference engine: the original copy-per-branch DFS                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Kept verbatim as the baseline the bench's EX row measures speedups
-   against, and as a differential oracle for the journal engine. *)
+(* No journal, no dedup, no sleep sets: the reference the soundness
+   oracle compares engine C against (and the bench's EX baseline). *)
 let exhaustive_copy ?(max_crashes = 0) ?(max_runs = 2_000_000) ~max_steps ~make
     ~property () =
   let env0, progs = make () in
@@ -1475,17 +939,9 @@ let exhaustive_copy ?(max_crashes = 0) ?(max_runs = 2_000_000) ~max_steps ~make
   let counterexample = ref None in
   let exhausted = ref false in
   let finish states crashed truncated rev_choices =
-    let outcomes =
-      Array.map
-        (function
-          | Running _ -> Exec.Blocked
-          | Done v -> Exec.Decided v
-          | Crashed -> Exec.Crashed)
-        states
-    in
     let run =
       {
-        outcomes;
+        outcomes = outcomes_of states;
         crashed = List.rev crashed;
         truncated;
         schedule = schedule_string rev_choices;

@@ -66,8 +66,8 @@ type 'a result = {
           commutation rules — sleep entries that only survived a filter
           because, at the state in question, two same-instance
           operations commute (sibling snapshot writes, equal register
-          writes, a won test&set, ...). Always [0] from the plan engine
-          and the reference engine, which use the coarse relation. *)
+          writes, a won test&set, ...). Always [0] from the reference
+          engine. *)
 }
 
 val exhaustive :
@@ -78,7 +78,6 @@ val exhaustive :
   ?jobs:int ->
   ?oversubscribe:bool ->
   ?dedup:bool ->
-  ?frontier_depth:int ->
   max_steps:int ->
   make:(unit -> Env.t * 'a Prog.t array) ->
   property:('a run -> (unit, string) Stdlib.result) ->
@@ -86,71 +85,68 @@ val exhaustive :
   'a result
 (** [exhaustive ~max_steps ~make ~property ()] enumerates schedules
     depth-first. [make] builds a fresh environment and programs (called
-    once per engine pass — see below). Defaults: [max_crashes = 0],
+    once per pass — see below). Defaults: [max_crashes = 0],
     [max_runs = 2_000_000], [jobs = 1], [dedup = true].
 
-    Passing [frontier_depth] explicitly selects the static-split plan
-    engine outright (it is that engine's phase-A parameter; the
-    work-stealing engine has no frontier). Leave it unset to get the
-    work-stealing engine with plan-engine fallback described below.
+    {b One engine, one order.} The explorer is the work-stealing
+    engine: one {!Visited} table shared by all [jobs] domains (a state
+    fingerprinted anywhere is never re-expanded anywhere), subtree
+    items split off dynamically whenever a sibling domain is starving
+    ({!Par.run_dynamic}), and sleep-set pruning upgraded with
+    state-conditional commutation rules toward source sets
+    ([pruned_source]). Branches are taken in pid order, each process's
+    step before its crash, so with one domain the pass is a fixed
+    serial DFS, and {e that DFS defines the result}:
 
-    {b Two engines, one contract.} The first pass runs the
-    work-stealing engine: one {!Visited} table shared by all [jobs]
-    domains (a state fingerprinted anywhere is never re-expanded
-    anywhere), subtree items split off dynamically whenever a sibling
-    domain is starving ({!Par.run_dynamic}), and sleep-set pruning
-    upgraded with state-conditional commutation rules toward source
-    sets ([pruned_source]). If that pass runs clean — no
-    counterexample, budget untouched, no exception — its result is
-    returned: by the closure argument (DESIGN §14) the expanded-state
-    set, and hence [explored], every pruned count and every
-    deterministic metric, is a function of the reachable state graph
-    alone, identical at {e every} job count and steal schedule. The
-    moment a counterexample, the [max_runs] budget, or an exception
-    enters the picture, the pass aborts, discards everything (no
-    metrics recorded), and defers to the plan engine — phase-A
-    frontier slicing, indexed fan-out, strict in-order merge (the same
-    machinery {!plan}/{!task_outcome}/{!merge_plan} expose to [Dist])
-    — whose merge defines the documented semantics: the DFS-first
-    counterexample, the sequential budget behaviour, the original
-    exception. Either way the verdict is byte-identical for every
-    value of [jobs].
+    - the counterexample is the first run, in that order, the property
+      rejects; [explored] counts the runs up to and including it;
+    - [max_runs] is exact: the pass stops right after its
+      [max_runs]-th run and sets [exhausted_budget] (a counterexample
+      on that very run is reported as such, with the flag unset);
+    - an exception from the property, from [on_progress] or from a
+      program is re-raised, with its backtrace, after the join;
+    - the pruned counts and [metrics] are those accumulated up to the
+      stop.
+
+    A clean pass (no stop) is returned at any [jobs]: by the closure
+    argument (DESIGN §14) the expanded-state set, and hence
+    [explored], every pruned count and every deterministic metric, is
+    a function of the reachable state graph alone, identical at every
+    job count and steal schedule. When a pass on more than one domain
+    stops, which run stopped it depends on timing, so the pass is
+    discarded and one serial pass ([jobs = 1]) is run and returned.
+    Either way the result is byte-identical for every value of [jobs].
 
     [dedup:false] disables the visited table and both sleep-set tiers —
     the engine then enumerates exactly the runs of the reference engine
     {!exhaustive_copy}.
 
     [metrics] counts completed runs ([explore.runs]), truncated runs
-    ([explore.truncated]), counterexamples found, the three pruning
-    tallies ([explore.pruned_states], [explore.pruned_commutes],
+    ([explore.truncated]), the counterexample
+    ([explore.counterexamples]), the three pruning tallies
+    ([explore.pruned_states], [explore.pruned_commutes],
     [explore.pruned_source]) and the shared-table traffic
     ([explore.visited.hits]/[explore.visited.misses]) — all
     deterministic. Timing-dependent tallies (steals, splits,
     per-domain breakdowns) are recorded only into
     wall-clock registries ({!Metrics.create}'s [wall_clock]), so
     snapshot-compared runs stay byte-identical. [on_progress ~runs]
-    fires from the calling domain — heartbeat timing is not part of
-    the determinism contract. *)
+    fires from the calling domain after each of its runs — heartbeat
+    timing is not part of the determinism contract. *)
 
-val exhaustive_plan :
+val run_of_schedule :
   ?max_crashes:int ->
-  ?max_runs:int ->
-  ?metrics:Metrics.t ->
-  ?on_progress:(runs:int -> unit) ->
-  ?jobs:int ->
-  ?oversubscribe:bool ->
-  ?dedup:bool ->
-  ?frontier_depth:int ->
   max_steps:int ->
   make:(unit -> Env.t * 'a Prog.t array) ->
-  property:('a run -> (unit, string) Stdlib.result) ->
-  unit ->
-  'a result
-(** The plan engine alone: phase-A frontier slicing, indexed fan-out
-    over {!Par.run}, strict in-order merge — exactly what {!exhaustive}
-    falls back to, and what a [Dist] coordinator distributes. Exposed
-    so the bench can pin the static-split engine as its serial
-    baseline; [pruned_source] is always [0] here. *)
+  string ->
+  ('a run, string) Stdlib.result
+(** Rebuild the run record of a [schedule] string (as found in a
+    counterexample) by executing its choices once from a fresh
+    [make ()]. [Error] unless every choice is enabled where it is taken
+    (within [max_crashes] and [max_steps], defaults as for
+    {!exhaustive}) and the schedule ends exactly where a run ends. This
+    is how a counterexample found in another process is turned back
+    into a run record; the property can then be re-checked on it. *)
 
 val exhaustive_copy :
   ?max_crashes:int ->
@@ -160,11 +156,11 @@ val exhaustive_copy :
   property:('a run -> (unit, string) Stdlib.result) ->
   unit ->
   'a result
-(** The original copy-per-branch engine, kept as the measured baseline
-    of the bench's [EX] row and as a differential oracle for the journal
-    engine: no journal, no pruning, no parallelism — every branch deep
-    copies the environment and the state array. Its [pruned_states] and
-    [pruned_commutes] are always 0. *)
+(** The original copy-per-branch engine, kept as the reference the
+    soundness oracle compares {!exhaustive} against (and as the bench's
+    [EX] baseline): no journal, no pruning, no parallelism — every
+    branch deep copies the environment and the state array. Its pruned
+    counts are always 0. *)
 
 (** {1 Systematic fault-box sweeping}
 
@@ -317,77 +313,26 @@ val replay :
     [metrics] is handed to {!Exec.run} — replaying one artifact twice
     into two fresh registries snapshots byte-identically. *)
 
-(** {1 Sharding hooks}
+(** {1 Sweep sharding hooks}
 
-    {!exhaustive} and {!sweep_faults} are thin compositions of three
-    stages exposed here so other executors — in particular the
-    multi-process coordinator in [Dist] — can run the middle stage
-    elsewhere while sharing the first and last verbatim:
+    {!sweep_faults} is a thin composition of three stages exposed here
+    so other executors — in particular the multi-process coordinator
+    in [Dist] — can run the middle stage elsewhere while sharing the
+    first and last verbatim:
 
-    + {b plan}: slice the work into indexed units (frontier tasks, or
-      sweep cells). Planning is a deterministic function of the
-      parameters alone — two processes given the same parameters build
-      the same plan, so an index fully identifies a unit of work across
-      a process boundary.
-    + {b execute}: run units by index, anywhere, in any order, any
-      number of times ({!task_outcome} and {!sweep_cell} are
-      deterministic and re-runnable — the property a coordinator leans
-      on when a worker dies mid-shard and the shard is reassigned).
-    + {b merge}: fold outcomes strictly in index order. All cut-offs
-      (budget, first counterexample) and all [metrics] accounting
-      happen here, from plain-data summaries, so the merged outcome is
-      a pure function of the plan — identical for in-process domains,
-      worker processes, or any mix, at any concurrency. *)
-
-type 'a plan
-(** A sliced exploration: frontier tasks in DFS order plus the merge
-    parameters. *)
-
-val plan :
-  ?max_crashes:int ->
-  ?max_runs:int ->
-  ?dedup:bool ->
-  ?frontier_depth:int ->
-  max_steps:int ->
-  make:(unit -> Env.t * 'a Prog.t array) ->
-  property:('a run -> (unit, string) Stdlib.result) ->
-  unit ->
-  'a plan
-(** Phase A of {!exhaustive}: walk the tree to [frontier_depth] and
-    capture tasks. Same defaults as {!exhaustive}. *)
-
-val plan_tasks : 'a plan -> int
-(** Number of tasks in the plan. *)
-
-type task_summary = {
-  ts_leaf : bool;  (** resolved during planning, above the frontier *)
-  ts_runs : int;
-  ts_truncated : int;
-  ts_cex : bool;  (** this task found the (DFS-first) counterexample *)
-  ts_pruned_states : int;
-  ts_pruned_commutes : int;
-  ts_exhausted : bool;  (** hit the per-task run cap *)
-}
-(** Plain-data result of one task — everything the merge needs except
-    the counterexample record itself, and exactly what [Dist] workers
-    ship over the wire. *)
-
-val task_outcome : 'a plan -> int -> task_summary * ('a run * string) option
-(** Execute task [i]: its summary, plus the full counterexample when
-    [ts_cex]. Deterministic and re-runnable — subtrees never consume
-    their captured root state. *)
-
-val merge_plan :
-  ?metrics:Metrics.t ->
-  ?on_progress:(runs:int -> unit) ->
-  'a plan ->
-  outcome_of:(int -> task_summary * ('a run * string) option) ->
-  'a result
-(** Fold task outcomes in task order into a {!result} — the exact merge
-    {!exhaustive} performs. [outcome_of] is consulted once per task, in
-    order, until a cut-off; if it returns [ts_cex = true] with no
-    counterexample record (a summary from a remote worker), the merge
-    recovers the record by re-running that task locally. *)
+    + {b plan}: enumerate the sweep cells. Planning is a deterministic
+      function of the parameters alone — two processes given the same
+      parameters build the same plan, so an index fully identifies a
+      cell across a process boundary.
+    + {b execute}: run cells by index, anywhere, in any order, any
+      number of times ({!sweep_cell} is deterministic and re-runnable
+      — the property a coordinator leans on when a worker dies
+      mid-shard and the shard is reassigned).
+    + {b merge}: fold verdicts strictly in index order. The first
+      violation's cut-off and all [metrics] accounting happen here, so
+      the merged outcome is a pure function of the plan — identical
+      for in-process domains, worker processes, or any mix, at any
+      concurrency. *)
 
 type 'a sweep_plan
 (** A sliced fault sweep: the scheduler × fault-set grid in sweep order

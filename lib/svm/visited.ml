@@ -21,8 +21,8 @@ let fresh_stats () = { hits = 0; misses = 0 }
 let rec pow2 n k = if k >= n then k else pow2 n (k * 2)
 
 (* Rounded bucket count, and its stripe count: one stripe per 1024
-   buckets, between 1 and 64 — a plan-engine walk table gets a single
-   mutex, an engine C table one per core on any host this runs on. *)
+   buckets, between 1 and 64 — a small table gets a single mutex, an
+   engine C table one per core on any host this runs on. *)
 let geometry buckets =
   let cap = pow2 (max 16 buckets) 16 in
   (cap, min 64 (max 1 (cap / 1024)))

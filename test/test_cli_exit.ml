@@ -31,6 +31,8 @@ let table =
      ^ tmp "cli4.replay", 0);
     ( "explore --algo safe_agreement_no_cancel --expect-violation --jobs 0",
       0 );
+    (* a hit run budget is partial coverage, not a finding *)
+    ("explore --algo safe_agreement --crashes 2 --runs 5000 --jobs 2", 0);
     (* the DSL surface: check/compile/fmt on the shipped examples, a
        sweep of a scenario file, and the registry listing *)
     ("sdl check ../examples/x_safe_agreement.sdl", 0);
@@ -115,11 +117,40 @@ let corpus_cat_malformed () =
   in
   Alcotest.(check bool) "says no valid record" true (found 0)
 
+(* --runs R stops the explorer after exactly R runs, whatever --jobs. *)
+let explore_runs_exact () =
+  List.iter
+    (fun jobs ->
+      let out = tmp (Printf.sprintf "asmsim-cli-runs-%d-%d.out" (Unix.getpid ()) jobs) in
+      let cmd =
+        Printf.sprintf
+          "%s explore --algo safe_agreement --crashes 2 --runs 5000 --jobs %d \
+           >%s 2>/dev/null"
+          (Filename.quote exe) jobs (Filename.quote out)
+      in
+      Alcotest.(check bool) "exit 0" true (Unix.system cmd = Unix.WEXITED 0);
+      let lines =
+        String.split_on_char '\n' (In_channel.with_open_bin out In_channel.input_all)
+      in
+      let explored =
+        List.find_opt (String.starts_with ~prefix:"explored ") lines
+        |> Option.value ~default:"(no explored line)"
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "--jobs %d: %s" jobs explored)
+        true
+        (String.starts_with ~prefix:"explored 5000 run(s)," explored
+        && String.ends_with ~suffix:"(run budget hit; coverage partial)"
+             explored))
+    [ 1; 2 ]
+
 let suite =
   [
     ( "cli-exit",
       [
         Alcotest.test_case "exit-code table" `Quick exit_codes;
+        Alcotest.test_case "explore --runs is exact at --jobs 1 and 2" `Quick
+          explore_runs_exact;
         Alcotest.test_case "corpus --cat of a malformed address" `Quick
           corpus_cat_malformed;
       ] );

@@ -30,11 +30,12 @@ let scenario name =
   | Error e -> Alcotest.fail e
 
 let config ?(workers = 2) ?shard_size ?journal_dir ?resume ?chaos ?stop_after
-    ?(max_retries = 2) () =
+    ?(max_retries = 2) ?(shard_timeout = 120.) () =
   let base = Dist.Coordinator.default_config ~workers ~exe () in
   {
     base with
     Dist.Coordinator.shard_size;
+    shard_timeout;
     journal_dir;
     resume;
     chaos_kill_shard = chaos;
@@ -151,20 +152,12 @@ let explore_identity name ~max_crashes () =
       check Alcotest.string (label "metrics snapshot") (snd base) (snd got))
     [ 2; 4 ]
 
-(* A clean scope is the one case where the in-process run keeps the
-   work-stealing engine's own result, while --dist always runs the plan
-   engine: their explored and pruned counts differ by design (the
-   engines slice and deduplicate differently), but the verdict — no
-   counterexample — and the budget flag must agree. When the run budget
-   is hit, the in-process run hands over to the plan engine too, and
-   the results are byte-identical again. *)
+(* A clean scope and a run-budget cut: the worker runs the whole
+   exploration with the in-process engine at one domain, so the result
+   and the metrics snapshot are byte-identical to the in-process run's
+   — explored and pruned counts included — and the budget is exact. *)
 let explore_clean_verdict () =
   let s = scenario "safe_agreement" in
-  let verdict (r : Univ.t Explore.result) =
-    Printf.sprintf "cex=%b exhausted=%b"
-      (r.Explore.counterexample <> None)
-      r.Explore.exhausted_budget
-  in
   let run_inproc ?max_runs () =
     let metrics = Metrics.create ~wall_clock:false () in
     match
@@ -185,11 +178,14 @@ let explore_clean_verdict () =
         Alcotest.fail "dist explore suspended unexpectedly"
     | Ok (Dist.Coordinator.Complete r, _) -> (r, Metrics.snapshot_string metrics)
   in
-  let (inproc, _), (dist, _) = (run_inproc (), run_dist ()) in
-  check Alcotest.string "clean scope: same verdict and budget flag"
-    "cex=false exhausted=false" (verdict inproc);
-  check Alcotest.string "clean scope: --dist agrees" (verdict inproc)
-    (verdict dist);
+  let (inproc, inproc_m), (dist, dist_m) = (run_inproc (), run_dist ()) in
+  check Alcotest.string "clean scope: identical result" (explore_repr inproc)
+    (explore_repr dist);
+  check Alcotest.string "clean scope: identical metrics snapshot" inproc_m
+    dist_m;
+  Alcotest.(check bool) "clean scope: clean, budget untouched" true
+    (inproc.Explore.counterexample = None
+    && not inproc.Explore.exhausted_budget);
   let (inproc, inproc_m), (dist, dist_m) =
     (run_inproc ~max_runs:5000 (), run_dist ~max_runs:5000 ())
   in
@@ -197,7 +193,8 @@ let explore_clean_verdict () =
     (explore_repr dist);
   check Alcotest.string "budget hit: identical metrics snapshot" inproc_m
     dist_m;
-  Alcotest.(check bool) "budget hit: flagged" true inproc.Explore.exhausted_budget
+  Alcotest.(check bool) "budget hit: flagged" true inproc.Explore.exhausted_budget;
+  check Alcotest.int "budget hit: exactly the budget" 5000 dist.Explore.explored
 
 (* ------------------------------------------------------------------ *)
 (* crash-tolerance                                                      *)
@@ -220,12 +217,14 @@ let chaos_identical () =
   Alcotest.(check bool) "a replacement worker was spawned" true
     (stats.Dist.Coordinator.spawned >= 3)
 
+(* An explore job is one cell: the chaos hook kills the worker that is
+   dealt it, and a replacement re-runs the exploration from scratch. *)
 let chaos_explore_identical () =
   let s = scenario "safe_agreement_no_cancel" in
   let base = explore_inproc ~max_crashes:1 s in
   let got, stats =
     explore_dist ~max_crashes:1
-      (config ~shard_size:9 ~chaos:(1, 1) ())
+      (config ~shard_size:9 ~chaos:(0, 1) ())
       s
   in
   check Alcotest.string "explore outcome despite a SIGKILLed worker"
@@ -233,7 +232,35 @@ let chaos_explore_identical () =
   check Alcotest.string "explore metrics despite a SIGKILLed worker"
     (snd base) (snd got);
   Alcotest.(check bool) "a worker really was killed" true
-    (stats.Dist.Coordinator.killed >= 1)
+    (stats.Dist.Coordinator.killed >= 1);
+  Alcotest.(check bool) "the cell really was re-run" true
+    (stats.Dist.Coordinator.reassigned >= 1)
+
+(* A whole-job shard that runs longer than its shard timeout must not be
+   shot while it is making progress: the worker's heartbeats re-arm the
+   deadline. safe_agreement with one crash at depth 14 takes about
+   1.6 s on a 2-vCPU host; the elapsed check keeps the test honest on
+   a faster one. *)
+let explore_outlives_shard_timeout () =
+  let s = scenario "safe_agreement" in
+  let t0 = Unix.gettimeofday () in
+  match
+    Experiments.Harness.explore_scenario_dist ~max_crashes:1 ~max_steps:14
+      (config ~shard_timeout:1.0 ())
+      s
+  with
+  | Error m -> Alcotest.failf "dist explore failed: %s" m
+  | Ok (Dist.Coordinator.Suspended _, _) ->
+      Alcotest.fail "dist explore suspended unexpectedly"
+  | Ok (Dist.Coordinator.Complete r, stats) ->
+      Alcotest.(check bool) "outlived the 1 s shard timeout" true
+        (Unix.gettimeofday () -. t0 > 1.0);
+      Alcotest.(check bool) "clean and complete" true
+        (r.Explore.counterexample = None
+        && (not r.Explore.exhausted_budget)
+        && r.Explore.explored > 0);
+      check Alcotest.int "no worker killed" 0 stats.Dist.Coordinator.killed;
+      check Alcotest.int "no reassignment" 0 stats.Dist.Coordinator.reassigned
 
 let hostile_shard () =
   let s = scenario "safe_agreement_no_cancel" in
@@ -288,6 +315,62 @@ let resume_no_rerun () =
     (fst got);
   check Alcotest.string "resumed metrics identical to in-process" (snd base)
     (snd got)
+
+(* A journal of an explore written before explores ran as one cell: its
+   payloads are plan-engine task summaries. Resuming it is a typed
+   refusal — exit 2 from `serve --resume` — and never a merge. *)
+let resume_refuses_plan_engine_journal () =
+  let s = scenario "safe_agreement_no_cancel" in
+  let dir = fresh_dir () in
+  let id = "plan-engine-explore" in
+  Unix.mkdir (Filename.concat dir id) 0o755;
+  let job = Experiments.Harness.explore_job ~max_crashes:1 s in
+  Out_channel.with_open_bin
+    (Filename.concat (Filename.concat dir id) "journal.jsonl")
+    (fun oc ->
+      List.iter
+        (fun v ->
+          output_string oc (Json.to_string v);
+          output_char oc '\n')
+        [
+          Json.Obj
+            [
+              ("v", Json.Int 1);
+              ("job", Dist.Proto.job_to_json job);
+              ("cells", Json.Int 12);
+              ("shard_size", Json.Int 9);
+            ];
+          Json.Obj
+            [
+              ("shard", Json.Int 0);
+              ( "payload",
+                Json.List
+                  (List.init 9 (fun _ ->
+                       Json.List (List.map (fun i -> Json.Int i) [ 0; 3; 3; 0; 1; 2; 0 ]))) );
+            ];
+        ]);
+  (match Dist.Journal.load ~dir id with
+  | Ok _ -> Alcotest.fail "a plan-engine explore journal must not load"
+  | Error m ->
+      Alcotest.(check bool)
+        (Printf.sprintf "error names the plan engine: %S" m)
+        true (contains_sub m "plan-engine"));
+  (match
+     Experiments.Harness.explore_scenario_dist ~max_crashes:1
+       (config ~journal_dir:dir ~resume:id ())
+       s
+   with
+  | Ok _ -> Alcotest.fail "--dist --resume of a plan-engine journal must fail"
+  | Error m ->
+      Alcotest.(check bool)
+        (Printf.sprintf "--dist error names the plan engine: %S" m)
+        true (contains_sub m "plan-engine"));
+  let cmd =
+    Printf.sprintf "%s serve --resume %s --journal-dir %s >/dev/null 2>&1"
+      (Filename.quote exe) id (Filename.quote dir)
+  in
+  Alcotest.(check bool) "serve --resume exits 2" true
+    (Unix.system cmd = Unix.WEXITED 2)
 
 let resume_rejects_other_job () =
   let s = scenario "safe_agreement_no_cancel" in
@@ -530,5 +613,9 @@ let suite =
           journal_fsync_flag;
         Alcotest.test_case "journal --fsync survives rename-then-reopen"
           `Quick journal_fsync_rename_reopen;
+        Alcotest.test_case "explore outlives its shard timeout" `Quick
+          explore_outlives_shard_timeout;
+        Alcotest.test_case "resume refuses a plan-engine explore journal"
+          `Quick resume_refuses_plan_engine_journal;
       ] );
   ]

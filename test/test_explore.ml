@@ -85,6 +85,58 @@ let budget_flag () =
   Alcotest.(check bool) "budget exhausted" true r.Explore.exhausted_budget;
   check Alcotest.int "stopped at budget" 5 r.Explore.explored
 
+(* The serial DFS defines the stop: [max_runs] is exact at every job
+   count, and one domain never runs a second pass — not for the budget,
+   a counterexample or an exception, which is re-raised as is. *)
+let budget_exact () =
+  let s =
+    match Experiments.Scenario.find "safe_agreement" with
+    | Ok s -> s
+    | Error e -> Alcotest.fail e
+  in
+  List.iter
+    (fun jobs ->
+      let r =
+        Explore.exhaustive ~jobs ~oversubscribe:true ~max_crashes:2
+          ~max_runs:5000 ~max_steps:s.Experiments.Scenario.explore_steps
+          ~make:s.Experiments.Scenario.make
+          ~property:s.Experiments.Scenario.exhaustive_property ()
+      in
+      let label = Printf.sprintf "jobs=%d" jobs in
+      check Alcotest.int (label ^ ": exactly 5000 runs") 5000 r.Explore.explored;
+      Alcotest.(check bool) (label ^ ": budget hit") true
+        r.Explore.exhausted_budget)
+    [ 1; 2 ]
+
+let one_pass_stops () =
+  let passes = ref 0 in
+  let make () =
+    incr passes;
+    make_yields [| 1; 1 |] ()
+  in
+  let crashed_one run = List.mem 1 run.Explore.crashed in
+  let run ?max_runs ~jobs property =
+    passes := 0;
+    Explore.exhaustive ?max_runs ~jobs ~oversubscribe:true ~max_crashes:1
+      ~max_steps:20 ~make ~property ()
+  in
+  let r =
+    run ~jobs:1 (fun r -> if crashed_one r then Error "p1 crashed" else Ok ())
+  in
+  Alcotest.(check bool) "counterexample found" true
+    (r.Explore.counterexample <> None);
+  check Alcotest.int "counterexample: one pass" 1 !passes;
+  let r = run ~max_runs:2 ~jobs:1 ok_prop in
+  check Alcotest.int "budget: two runs" 2 r.Explore.explored;
+  check Alcotest.int "budget: one pass" 1 !passes;
+  List.iter
+    (fun jobs ->
+      match run ~jobs (fun r -> if crashed_one r then raise Exit else Ok ()) with
+      | _ -> Alcotest.failf "jobs=%d: the property's exception was swallowed" jobs
+      | exception Exit ->
+          if jobs = 1 then check Alcotest.int "exception: one pass" 1 !passes)
+    [ 1; 2 ]
+
 let branches_isolated () =
   (* Writes on one branch must not leak into a sibling branch: every
      complete 2-process run sees exactly its own interleaving. *)
@@ -125,6 +177,9 @@ let suite =
         Alcotest.test_case "finds failures" `Quick finds_failure;
         Alcotest.test_case "truncation" `Quick truncation_flag;
         Alcotest.test_case "run budget" `Quick budget_flag;
+        Alcotest.test_case "run budget is exact at jobs 1 and 2" `Quick
+          budget_exact;
+        Alcotest.test_case "one pass per stop at jobs=1" `Quick one_pass_stops;
         Alcotest.test_case "branch isolation" `Quick branches_isolated;
       ] );
   ]

@@ -121,73 +121,130 @@ let skewed_steals () =
     [ 2; 8 ]
 
 (* ------------------------------------------------------------------ *)
-(* golden pins: the plan engine against recorded values                 *)
+(* counterexample pins: engine C's serial DFS against recorded values   *)
 (* ------------------------------------------------------------------ *)
 
-(* The identity tests above compare the plan engine with itself (jobs,
-   in-process vs --dist), so a state-key change that altered dedup or
-   sleep decisions would pass all of them. These pins were recorded
-   from the canonical-store keys the plan engine used before it adopted
-   interned history ids and the incremental store signature; any key
-   change must reproduce them exactly. The seeded bugs run at the
-   benchmark's explore-bugs depths, the clean scenario at the service
-   workload's. *)
-let plan_pins =
+(* The serial DFS defines the counterexample and the run-budget cut, so
+   these pin what it returns at those stops, at jobs 1 and 2 (a stopped
+   two-domain pass is redone serially): the seeded bugs at the
+   explore-bugs benchmark's depths, the clean scenario at the service
+   workload's, and a budget that cuts the clean scope mid-tree. Each
+   counterexample must also be a real run: its schedule rebuilds the
+   same run record and the property rejects it the same way, and as a
+   replay artifact it makes the scenario's monitors fire again. *)
+let cex_pins =
   [
     ( "x_safe_agreement_first_subset", 1, 16, None,
-      (5288, 928, 27033, 5288, false),
+      (5288, 750, 26767, 261, 5288, 16061, false),
       Some "0.0.0.1.1.2.2.2.2.2.2.2.0.0.0.2" );
     ( "x_safe_agreement_first_subset", 1, 17, None,
-      (6645, 1939, 37383, 6645, false),
+      (6645, 1684, 37122, 301, 6645, 21696, false),
       Some "0.0.0.1.1.X1.2.2.2.2.2.2.2.0.0.0.2" );
     ( "safe_agreement_no_cancel", 1, 18, None,
-      (380, 675, 1675, 201, false),
+      (152, 840, 1084, 9, 118, 1475, false),
       Some "1.1.1.1.0.0.0.0.0.1" );
-    ("safe_agreement", 1, 10, None, (19083, 8394, 21473, 19083, false), None);
-    ("safe_agreement", 2, 10, None, (23809, 15242, 26920, 23653, false), None);
-    (* the run budget cuts the merge mid-plan *)
-    ("safe_agreement", 1, 10, Some 5000, (5207, 2353, 5932, 5207, true), None);
+    ( "safe_agreement", 1, 10, None,
+      (11055, 4808, 12385, 1051, 11055, 20062, false),
+      None );
+    ( "safe_agreement", 2, 10, None,
+      (12441, 8970, 14360, 1216, 12363, 23075, false),
+      None );
+    (* the run budget cuts the serial DFS at exactly 5000 runs *)
+    ( "safe_agreement", 1, 10, Some 5000,
+      (5000, 1497, 5857, 450, 5000, 9124, true),
+      None );
   ]
 
-let plan_golden () =
+let decisions_of_schedule sched =
+  String.split_on_char '.' sched
+  |> List.map (fun tok ->
+         if tok.[0] = 'X' then
+           Trace.Crash (int_of_string (String.sub tok 1 (String.length tok - 1)))
+         else Trace.Sched (int_of_string tok))
+
+let cex_golden () =
   List.iter
     (fun (name, max_crashes, max_steps, max_runs, counts, sched) ->
-      let explored, pruned_s, pruned_c, truncated, exhausted = counts in
+      let explored, pruned_s, pruned_c, pruned_src, truncated, misses, exhausted
+          =
+        counts
+      in
       let s = scenario name in
-      let metrics = Metrics.create ~wall_clock:false () in
-      let r =
-        Explore.exhaustive_plan ~jobs:1 ~max_crashes ?max_runs ~max_steps
-          ~metrics ~make:s.Experiments.Scenario.make
-          ~property:s.Experiments.Scenario.exhaustive_property ()
-      in
-      let label =
-        Printf.sprintf "%s crashes=%d depth=%d%s" name max_crashes max_steps
-          (match max_runs with
-          | Some n -> Printf.sprintf " max_runs=%d" n
-          | None -> "")
-      in
-      check Alcotest.int (label ^ ": explored") explored r.Explore.explored;
-      check Alcotest.int (label ^ ": pruned states") pruned_s
-        r.Explore.pruned_states;
-      check Alcotest.int (label ^ ": pruned commutes") pruned_c
-        r.Explore.pruned_commutes;
-      Alcotest.(check bool)
-        (label ^ ": exhausted") exhausted r.Explore.exhausted_budget;
-      check Alcotest.string
-        (label ^ ": counterexample")
-        (match sched with
-        | None -> "none"
-        | Some sched -> sched ^ " | agreement: two distinct values decided")
-        (match r.Explore.counterexample with
-        | None -> "none"
-        | Some (run, msg) -> run.Explore.schedule ^ " | " ^ msg);
-      check Alcotest.string (label ^ ": metrics snapshot")
-        (Printf.sprintf
-           "{\"counters\":{%s\"explore.pruned_commutes\":%d,\"explore.pruned_source\":0,\"explore.pruned_states\":%d,\"explore.runs\":%d,\"explore.truncated\":%d},\"gauges\":{},\"histograms\":{}}"
-           (if sched = None then "" else "\"explore.counterexamples\":1,")
-           pruned_c pruned_s explored truncated)
-        (Metrics.snapshot_string metrics))
-    plan_pins
+      List.iter
+        (fun jobs ->
+          let metrics = Metrics.create ~wall_clock:false () in
+          let r =
+            Explore.exhaustive ~jobs ~oversubscribe:true ~max_crashes ?max_runs
+              ~max_steps ~metrics ~make:s.Experiments.Scenario.make
+              ~property:s.Experiments.Scenario.exhaustive_property ()
+          in
+          let label =
+            Printf.sprintf "%s crashes=%d depth=%d%s jobs=%d" name max_crashes
+              max_steps
+              (match max_runs with
+              | Some n -> Printf.sprintf " max_runs=%d" n
+              | None -> "")
+              jobs
+          in
+          check Alcotest.int (label ^ ": explored") explored r.Explore.explored;
+          check Alcotest.int (label ^ ": pruned states") pruned_s
+            r.Explore.pruned_states;
+          check Alcotest.int (label ^ ": pruned commutes") pruned_c
+            r.Explore.pruned_commutes;
+          check Alcotest.int (label ^ ": pruned source") pruned_src
+            r.Explore.pruned_source;
+          Alcotest.(check bool)
+            (label ^ ": exhausted") exhausted r.Explore.exhausted_budget;
+          check Alcotest.string
+            (label ^ ": counterexample")
+            (match sched with
+            | None -> "none"
+            | Some sched -> sched ^ " | agreement: two distinct values decided")
+            (match r.Explore.counterexample with
+            | None -> "none"
+            | Some (run, msg) -> run.Explore.schedule ^ " | " ^ msg);
+          check Alcotest.string (label ^ ": metrics snapshot")
+            (Printf.sprintf
+               "{\"counters\":{%s\"explore.pruned_commutes\":%d,\"explore.pruned_source\":%d,\"explore.pruned_states\":%d,\"explore.runs\":%d,%s\"explore.visited.hits\":%d,\"explore.visited.misses\":%d},\"gauges\":{},\"histograms\":{}}"
+               (if sched = None then "" else "\"explore.counterexamples\":1,")
+               pruned_c pruned_src pruned_s explored
+               (if truncated = 0 then ""
+                else Printf.sprintf "\"explore.truncated\":%d," truncated)
+               pruned_s misses)
+            (Metrics.snapshot_string metrics);
+          match r.Explore.counterexample with
+          | None -> ()
+          | Some (run, msg) ->
+              (match
+                 Explore.run_of_schedule ~max_crashes ~max_steps
+                   ~make:s.Experiments.Scenario.make run.Explore.schedule
+               with
+              | Error m -> Alcotest.failf "%s: schedule does not rebuild: %s" label m
+              | Ok run' ->
+                  check Alcotest.string (label ^ ": rebuilt run rejected alike")
+                    ("Error " ^ msg)
+                    (match s.Experiments.Scenario.exhaustive_property run' with
+                    | Ok () -> "Ok"
+                    | Error m -> "Error " ^ m));
+              let t = Trace.create () in
+              List.iter (Trace.record_decision t)
+                (decisions_of_schedule run.Explore.schedule);
+              let artifact =
+                Trace.to_replay ~meta:(Experiments.Scenario.sweep_meta s) t
+              in
+              match Trace.parse_replay artifact with
+              | Error _ -> Alcotest.failf "%s: unreadable replay artifact" label
+              | Ok (_, decisions) -> (
+                  match
+                    Explore.replay ~make:s.Experiments.Scenario.make
+                      ~monitors:s.Experiments.Scenario.monitors decisions
+                  with
+                  | Error _ -> ()
+                  | Ok _ ->
+                      Alcotest.failf "%s: the replayed counterexample is clean"
+                        label))
+        [ 1; 2 ])
+    cex_pins
 
 (* ------------------------------------------------------------------ *)
 (* golden pins: engine C against recorded values                        *)
@@ -502,13 +559,6 @@ let dedup_verdict_parity () =
                ~make:s.Experiments.Scenario.make
                ~property:s.Experiments.Scenario.exhaustive_property ()
            in
-           (* The plan engine keys states its own way (per-task interning
-              tables), so its clean path gets its own column. *)
-           let run_plan () =
-             Explore.exhaustive_plan ~frontier_depth:3 ~max_steps
-               ~make:s.Experiments.Scenario.make
-               ~property:s.Experiments.Scenario.exhaustive_property ()
-           in
            let verdict (r : Univ.t Explore.result) =
              match r.Explore.counterexample with
              | None -> "ok"
@@ -517,12 +567,7 @@ let dedup_verdict_parity () =
            let reference = verdict (run false) in
            check Alcotest.string
              (s.Experiments.Scenario.name ^ ": dedup preserves the verdict")
-             reference (verdict (run true));
-           check Alcotest.string
-             (s.Experiments.Scenario.name
-            ^ ": the plan engine's dedup preserves the verdict")
-             reference
-             (verdict (run_plan ()))
+             reference (verdict (run true))
          end)
 
 let suite =
@@ -535,7 +580,7 @@ let suite =
           first_subset_jobs;
         Alcotest.test_case "skewed tree: steal-heavy jobs identical" `Quick
           skewed_steals;
-        Alcotest.test_case "plan engine: golden pins" `Quick plan_golden;
+        Alcotest.test_case "engine C: counterexample pins" `Quick cex_golden;
         Alcotest.test_case "engine C: golden pins" `Quick engine_c_golden;
         Alcotest.test_case "canonical hash ignores creation order" `Quick
           prewarm_hash_stable;

@@ -1,7 +1,7 @@
 let () =
   Alcotest.run "multiplicative-power-of-consensus-numbers"
     (Test_svm.suite @ Test_svm2.suite @ Test_explore.suite
-   @ Test_explore_par.suite @ Test_objects.suite
+   @ Test_explore_par.suite @ Test_explore_oracle.suite @ Test_objects.suite
    @ Test_model.suite @ Test_algorithms.suite @ Test_bg.suite
    @ Test_universal.suite @ Test_extensions.suite @ Test_adversary.suite
    @ Test_replay.suite @ Test_monitors.suite @ Test_faults.suite

@@ -54,17 +54,20 @@ let read_file_opt p =
 
 (* Start the real binary as a server on 127.0.0.1:0 and scrape the
    bound port from its "[net] listening on port N" stderr line. *)
-let start_server ?shard_size ~dir () =
+let start_server ?shard_size ?shard_timeout ~dir () =
   let errfile = Filename.concat dir "server.err" in
   let errfd =
     Unix.openfile errfile [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
   in
   let args =
     [ exe; "serve"; "--listen"; "127.0.0.1:0"; "--journal-dir"; dir ]
+    @ (match shard_size with
+      | None -> []
+      | Some n -> [ "--shard-size"; string_of_int n ])
     @
-    match shard_size with
+    match shard_timeout with
     | None -> []
-    | Some n -> [ "--shard-size"; string_of_int n ]
+    | Some t -> [ "--shard-timeout"; string_of_float t ]
   in
   let pid =
     Unix.create_process exe (Array.of_list args) Unix.stdin Unix.stdout errfd
@@ -253,33 +256,39 @@ let reject_version_skew () =
       ignore (reap srv))
     (fun () ->
       let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, port) in
-      match Dist.Net.dial ~timeout:5. addr with
-      | Error m -> Alcotest.failf "dial failed: %s" m
-      | Ok fd ->
-          Fun.protect
-            ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-            (fun () ->
-              (* Hand-craft a hello from the future. *)
-              Dist.Frame.write fd
-                (Dist.Proto.hello_to_json
-                   {
-                     Dist.Proto.h_version = Dist.Proto.net_version + 1;
-                     h_role = Dist.Proto.Worker_role;
-                     h_fingerprint = fingerprint ();
-                   });
-              match Dist.Frame.read ~timeout:5. fd with
-              | Error e ->
-                  Alcotest.failf "no reply to a wrong-version hello: %a"
-                    Dist.Frame.pp_error e
-              | Ok v -> (
-                  match Dist.Proto.welcome_of_json v with
-                  | Ok (Dist.Proto.Rejected m) ->
-                      Alcotest.(check bool)
-                        (Printf.sprintf "rejection names the version: %S" m)
-                        true (contains_sub m "version")
-                  | Ok Dist.Proto.Welcome ->
-                      Alcotest.fail "version skew must be rejected"
-                  | Error m -> Alcotest.failf "unreadable welcome: %s" m)))
+      (* Hand-craft hellos from the future and from the past — v3 peers
+         still split explores into plan-engine tasks. *)
+      List.iter
+        (fun version ->
+          match Dist.Net.dial ~timeout:5. addr with
+          | Error m -> Alcotest.failf "dial failed: %s" m
+          | Ok fd ->
+              Fun.protect
+                ~finally:(fun () ->
+                  try Unix.close fd with Unix.Unix_error _ -> ())
+                (fun () ->
+                  Dist.Frame.write fd
+                    (Dist.Proto.hello_to_json
+                       {
+                         Dist.Proto.h_version = version;
+                         h_role = Dist.Proto.Worker_role;
+                         h_fingerprint = fingerprint ();
+                       });
+                  match Dist.Frame.read ~timeout:5. fd with
+                  | Error e ->
+                      Alcotest.failf "no reply to a v%d hello: %a" version
+                        Dist.Frame.pp_error e
+                  | Ok v -> (
+                      match Dist.Proto.welcome_of_json v with
+                      | Ok (Dist.Proto.Rejected m) ->
+                          Alcotest.(check bool)
+                            (Printf.sprintf "v%d rejection names the version: %S"
+                               version m)
+                            true (contains_sub m "version")
+                      | Ok Dist.Proto.Welcome ->
+                          Alcotest.failf "a v%d peer must be rejected" version
+                      | Error m -> Alcotest.failf "unreadable welcome: %s" m)))
+        [ Dist.Proto.net_version + 1; Dist.Proto.net_version - 1 ])
 
 (* A malformed DSL source inside a job must bounce off the server as a
    typed [Sc_rejected] — parse + validate only, no code execution — and
@@ -462,13 +471,13 @@ let worker_reexpands_evicted_job () =
         | Ok m -> m
         | Error m -> Alcotest.failf "unreadable worker frame: %s" m
       in
-      (* Five distinct explore jobs: one more than the worker caches. *)
+      (* Five distinct sweep jobs: one more than the worker caches
+         (explore jobs are one cell, rebuilt on every assignment). *)
       let s = scenario "safe_agreement" in
       let jobs =
         List.init 5 (fun i ->
             ( Printf.sprintf "j%d" i,
-              Experiments.Harness.explore_job ~max_crashes:1
-                ~max_steps:(6 + i) s ))
+              Experiments.Harness.sweep_job ~op_window:(2 + i) s ))
       in
       let cells =
         List.map
@@ -545,6 +554,72 @@ let net_identity ~chaos () =
       end)
 
 let net_identity_clean = net_identity ~chaos:None
+
+(* Explores over TCP: one worker runs the whole job, so a clean scope
+   comes back byte-identical to the in-process run — counts and metrics
+   included — and a job that runs longer than the server's 1 s shard
+   timeout is never shot while its worker reports progress. safe
+   agreement with one crash at depth 14 takes about 1.6 s on a 2-vCPU
+   host; the elapsed check keeps the test honest on a faster one. *)
+let explore_repr (r : Univ.t Explore.result) =
+  Printf.sprintf "explored=%d pruned=%d+%d+%d exhausted=%b cex=%s"
+    r.Explore.explored r.Explore.pruned_states r.Explore.pruned_commutes
+    r.Explore.pruned_source r.Explore.exhausted_budget
+    (match r.Explore.counterexample with
+    | None -> "none"
+    | Some (run, msg) -> run.Explore.schedule ^ " | " ^ msg)
+
+let net_explore_whole () =
+  let s = scenario "safe_agreement" in
+  let dir = fresh_dir () in
+  let srv, port = start_server ~shard_timeout:1.0 ~dir () in
+  let err = Filename.concat dir "w.err" in
+  let worker = start_worker ~err port in
+  Fun.protect
+    ~finally:(fun () ->
+      kill_quiet worker Sys.sigkill;
+      kill_quiet srv Sys.sigterm;
+      ignore (reap worker);
+      ignore (reap srv))
+    (fun () ->
+      let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, port) in
+      let submit ~max_steps =
+        let metrics = Metrics.create ~wall_clock:false () in
+        let job =
+          Experiments.Harness.explore_job ~max_crashes:1 ~max_steps s
+        in
+        match
+          Experiments.Harness.submit_job_net ~metrics (client_config ()) job
+            addr
+        with
+        | Error m -> Alcotest.failf "submit failed: %s" m
+        | Ok (Dist.Client.Finished (Dist.Client.Explore_outcome r), stats) ->
+            (r, Metrics.snapshot_string metrics, stats)
+        | Ok _ -> Alcotest.fail "explore did not come back as an explore"
+      in
+      let r, m, stats = submit ~max_steps:10 in
+      let local = Metrics.create ~wall_clock:false () in
+      (match
+         Experiments.Harness.explore_scenario ~max_crashes:1 ~max_steps:10
+           ~metrics:local s
+       with
+      | Error e -> Alcotest.fail e
+      | Ok base ->
+          check Alcotest.string "clean explore identical over TCP"
+            (explore_repr base) (explore_repr r);
+          check Alcotest.string "metrics identical over TCP"
+            (Metrics.snapshot_string local) m);
+      check Alcotest.int "one shard for the whole job" 1
+        stats.Dist.Client.shards;
+      let t0 = Unix.gettimeofday () in
+      let r, _, _ = submit ~max_steps:14 in
+      Alcotest.(check bool) "outlived the 1 s shard timeout" true
+        (Unix.gettimeofday () -. t0 > 1.0);
+      Alcotest.(check bool) "clean and complete" true
+        (r.Explore.counterexample = None && not r.Explore.exhausted_budget);
+      Alcotest.(check bool) "no shard timed out" false
+        (contains_sub (read_file (Filename.concat dir "server.err"))
+           "timed out"))
 
 let net_identity_chaos = net_identity ~chaos:(Some ("drop", 3))
 
@@ -715,7 +790,7 @@ let drain_and_resume () =
 (* ------------------------------------------------------------------ *)
 
 let proto_v2_codec () =
-  Alcotest.(check int) "DSL job sources bumped the version" 3
+  Alcotest.(check int) "single-cell explore jobs bumped the version" 4
     Dist.Proto.net_version;
   let rt_worker m =
     match
@@ -843,5 +918,7 @@ let suite =
           drain_and_resume;
         Alcotest.test_case "worker re-expands an evicted job" `Quick
           worker_reexpands_evicted_job;
+        Alcotest.test_case "explore runs whole, outlives shard timeout"
+          `Quick net_explore_whole;
       ] );
   ]
